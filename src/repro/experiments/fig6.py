@@ -13,11 +13,14 @@ is found that keeps the network at >= 99 % relative accuracy.
 Both searches flow through the cross-experiment artifact graph: the trained
 LeNet is one content-addressed artifact, its per-layer profile a second
 (produced *after* the first -- a two-wave DAG), and the AlexNet profile a
-third.  The artifact producers run the search in ``incremental`` mode
-(baseline prefix activations reused, certified early exit -- see
-:class:`~repro.nn.precision_search.PrecisionSearch`), which is bit-identical
-to the full-forward reference search that direct, store-less driver calls
-keep using as the golden path.
+third.  The artifact producers run the lockstep search
+(``profile(incremental=True)``: baseline prefix activations reused, failing
+candidates certified early, and every scan's probes merged into shared
+sweeps so each fully-connected weight matrix is streamed once per sweep --
+see :mod:`repro.nn.precision_search`).  It makes the same argmax decision
+for every candidate as the full-forward reference search, so its profiles
+-- and the fig6 rows -- are identical to the reference's, which direct,
+store-less calls of this module keep using as the golden path.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ def lenet_profile_artifact(
     evaluation_samples: int,
     seed: int,
 ) -> LenetPrecisionData:
-    """Artifact producer: the LeNet profile via the incremental search."""
+    """Artifact producer: the LeNet profile via the lockstep search."""
     return _lenet_profile(
         train_samples=train_samples,
         test_samples=test_samples,
@@ -148,7 +151,7 @@ def _alexnet_search(*, input_size: int, evaluation_samples: int, seed: int) -> P
 def alexnet_profile_artifact(
     *, input_size: int, seed: int
 ) -> tuple[LayerPrecisionProfile, ...]:
-    """Artifact producer: the AlexNet profile via the incremental search."""
+    """Artifact producer: the AlexNet profile via the lockstep search."""
     search = _alexnet_search(
         input_size=input_size, evaluation_samples=ALEXNET_EVALUATION_SAMPLES, seed=seed
     )
@@ -165,9 +168,10 @@ def resolve_alexnet_profiles(
 
     With an active store (and the standard evaluation-set size) the profile
     resolves from the artifact produced by the scheduler's wave via the
-    incremental search; without one, the full-forward reference search runs
-    inline.  The two paths are bit-identical
-    (``tests/test_artifacts.py`` gates the equivalence).
+    lockstep search; without one, the full-forward reference search runs
+    inline.  The two paths return identical profiles
+    (``tests/test_artifacts.py`` and ``tests/test_precision_search.py`` gate
+    the equivalence).
     """
     from ..runner.artifacts import active_store, resolve_artifact
 

@@ -11,24 +11,88 @@ networks we can train, e.g. LeNet-5 on the synthetic digit task) or as
 top-1 agreement with the floating-point model (for the AlexNet / VGG16
 stand-ins whose original training data is unavailable offline).
 
-Because each probe quantises exactly one layer while everything before it
-stays floating point, the activations entering the probed layer are the
-*baseline* activations -- a reusable intermediate.  ``incremental=True``
-caches those per-layer inputs from one baseline pass and re-runs only the
-suffix of the network per candidate; the results are bit-identical to the
-full-forward reference (the default), which stays as the golden path the
-equivalence tests gate against.
+Two evaluation strategies produce the same profile:
+
+* ``profile()`` -- the full-forward reference: every candidate runs the
+  whole network on the whole evaluation batch.  It is the golden path the
+  equivalence tests gate against.
+* ``profile(incremental=True)`` -- the lockstep search.  Each probe
+  quantises exactly one layer while everything before it stays floating
+  point, so the activations entering the probed layer are the *baseline*
+  activations, captured once.  Every (layer, weights|activations) scan
+  keeps the reference's candidate order and pass rule but certifies
+  failing candidates early from a few samples, and instead of running its
+  own row batches it yields them as probes.  All pending probes of all
+  scans are merged into one *sweep* down the network: each probe enters at
+  its own layer with its quantised weights or activations, and every later
+  layer runs once on the concatenated rows.  The fully-connected weight
+  matrices -- whose reads bound the search, not its row count -- are then
+  streamed once per sweep instead of once per probe.
+
+The lockstep contract is *identical argmax decisions*, not identical logit
+bits: regrouping rows changes the GEMM shapes, and BLAS results differ in
+the last bits between shapes (a 1-row batch runs as a GEMV, for example).
+Every scan decision depends only on each sample's top-1 class, so a row
+whose relative top-1/runner-up margin is below :data:`NEAR_TIE_MARGIN`
+sends its candidate to a standalone full-batch evaluation with the
+reference's exact shapes (counted in ``PrecisionSearch.near_tie_fallbacks``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..analysis.metrics import classification_accuracy, top1_agreement
+from .layers import Layer
 from .network import Network
-from .quantization import QuantizationConfig, quantize
+from .quantization import QuantizationConfig, quantize, quantize_per_sample
+
+#: Relative top-1/runner-up logit margin below which a lockstep probe row is
+#: a near tie: ``top - runner_up <= NEAR_TIE_MARGIN * max(|top|, |runner_up|)``.
+#: Regrouped GEMMs drift by ~1e-15 relative on this path (the smallest
+#: margin the AlexNet stand-in's search meets is ~4e-4), so a tie this close
+#: is the only way regrouping could flip an argmax.
+NEAR_TIE_MARGIN = 1e-9
+
+
+@dataclass(frozen=True)
+class _Probe:
+    """Rows one scan needs evaluated: ``indices`` with ``layer`` quantised."""
+
+    layer: str
+    config: QuantizationConfig
+    indices: np.ndarray
+
+
+#: A probe's answer: (sample indices, their predicted classes).
+_Answer = tuple[np.ndarray, np.ndarray]
+
+
+@dataclass
+class _WeightScratch:
+    """One layer's weight-quantisation buffer and the candidate it holds."""
+
+    max_abs: float
+    buffer: np.ndarray
+    bits: int | None = None
+
+
+def _stack(batches: list[np.ndarray]) -> np.ndarray:
+    """Row-wise concatenation that does not copy a lone batch."""
+    return batches[0] if len(batches) == 1 else np.concatenate(batches)
+
+
+def _near_ties(logits: np.ndarray) -> np.ndarray:
+    """Rows whose top-1 class a last-bit perturbation could change."""
+    if logits.shape[1] < 2:
+        return np.zeros(logits.shape[0], dtype=bool)
+    runner_up, top = np.partition(logits, -2, axis=1)[:, -2:].T
+    scale = np.maximum(np.abs(top), np.abs(runner_up))
+    # Written as "not clearly apart" so NaN/inf margins count as ties.
+    return ~(top - runner_up > NEAR_TIE_MARGIN * scale)
 
 
 @dataclass(frozen=True)
@@ -93,26 +157,21 @@ class PrecisionSearch:
         self.relative_accuracy_target = relative_accuracy_target
         self.candidate_bits = tuple(sorted(candidate_bits))
         #: Baseline logits, computed on first use -- by a plain forward pass,
-        #: or as a by-product of the incremental path's prefix capture (both
+        #: or as a by-product of the lockstep search's prefix capture (both
         #: run the identical per-layer batch loop, so the logits are the
         #: same bits either way).
         self._baseline_logits_cache: np.ndarray | None = None
         #: Lazily captured baseline inputs of each weighted layer
         #: (layer name -> (position in network.layers, activation batch)).
         self._prefix_inputs: dict[str, tuple[int, np.ndarray]] | None = None
-        #: Lazily computed max(|weights|) per probed layer (the weight-scan
-        #: candidates all share one weight matrix).
-        self._weight_max_abs: dict[str, float] = {}
-        #: Reusable quantisation buffer per probed layer -- repeat weight
-        #: scans write into one allocation instead of faulting in a fresh
-        #: fc-layer-sized array per candidate.
-        self._weight_scratch: dict[str, np.ndarray] = {}
-        #: How often each evaluation sample has disagreed across incremental
-        #: probes.  Samples near decision boundaries disagree under *any*
-        #: layer's corruption, so the frequent offenders seed later scans'
-        #: certification probes (which samples are probed never affects the
-        #: decision, only how quickly failure is certified).
-        self._suspect_counts = np.zeros(self.samples.shape[0], dtype=np.int64)
+        #: Per-layer weight quantisation buffers of the running lockstep
+        #: search (released when it returns).
+        self._weight_scratch: dict[str, _WeightScratch] = {}
+        #: Sweeps down the network run by lockstep searches so far.
+        self.sweeps = 0
+        #: Lockstep candidates re-evaluated standalone because a probe row
+        #: was a near tie (see :data:`NEAR_TIE_MARGIN`).
+        self.near_tie_fallbacks = 0
 
     # -- accuracy evaluation ---------------------------------------------------
 
@@ -144,7 +203,7 @@ class PrecisionSearch:
         """Relative accuracy of the network under the given quantisation."""
         return self._score(self.network.forward_batch(self.samples, configs=configs))
 
-    # -- incremental evaluation ---------------------------------------------------
+    # -- lockstep evaluation ------------------------------------------------------
 
     def _layer_prefix_inputs(self) -> dict[str, tuple[int, np.ndarray]]:
         """Baseline activations entering each weighted layer (captured once).
@@ -167,176 +226,241 @@ class PrecisionSearch:
                 self._baseline_logits_cache = tensors
         return self._prefix_inputs
 
-    def relative_accuracy_incremental(self, layer_name: str, config: QuantizationConfig) -> float:
-        """Relative accuracy with exactly one layer quantised, prefix reused.
+    def _suffix_logits(self, layer_name: str, config: QuantizationConfig) -> np.ndarray:
+        """Whole-batch logits with one layer quantised, from its cached input.
 
         All layers before ``layer_name`` run unquantised, so their outputs
-        equal the cached baseline activations bit for bit; only the suffix
-        from the probed layer on is recomputed.  Equivalent to
-        ``relative_accuracy({layer_name: config})`` byte for byte, at a
-        fraction of the arithmetic.
+        equal the cached baseline activations bit for bit, and from the
+        probed layer on this runs the reference's exact calls and shapes:
+        the result equals ``network.forward_batch(samples, configs={layer_name:
+        config})`` byte for byte.
         """
         position, tensors = self._layer_prefix_inputs()[layer_name]
         configs = {layer_name: config}
         for layer in self.network.layers[position:]:
             tensors = layer.forward_batch(tensors, configs.get(layer.name))
-        return self._score(tensors)
+        return tensors
 
-    def _quantized_weights(self, layer_name: str, weights: np.ndarray, bits: int) -> np.ndarray:
-        """``quantize(weights, bits)`` with the per-layer ``max(|W|)`` cached.
+    def relative_accuracy_incremental(self, layer_name: str, config: QuantizationConfig) -> float:
+        """Relative accuracy with exactly one layer quantised, prefix reused.
 
-        Every candidate of a weight scan quantises the same matrix, so the
-        reduction passes over the (fc-layer-sized) weights are paid once per
-        layer instead of once per candidate, and all candidates share one
-        scratch buffer.  The 1-bit binary path scales by the mean magnitude,
-        not ``quantization_scale``, and uses the scratch as its ``|W|``
-        workspace only.
+        Equivalent to ``relative_accuracy({layer_name: config})`` byte for
+        byte, at a fraction of the arithmetic.
         """
-        scratch = self._weight_scratch.get(layer_name)
-        if scratch is None or scratch.shape != np.shape(weights):
-            scratch = np.empty_like(np.asarray(weights, dtype=np.float64))
-            self._weight_scratch[layer_name] = scratch
-        if bits == 1:
-            return quantize(weights, bits, out=scratch)
-        max_abs = self._weight_max_abs.get(layer_name)
-        if max_abs is None:
-            tensor = np.asarray(weights, dtype=np.float64)
+        return self._score(self._suffix_logits(layer_name, config))
+
+    def _quantized_weights(self, layer: Layer, bits: int) -> np.ndarray:
+        """``quantize(layer.weights, bits)``, computed once per candidate.
+
+        A weight scan's candidate is probed in up to two sweeps (suspect
+        rows, then the rest); the layer's scratch buffer keeps the last
+        candidate, so the second stage reuses it.  ``max(|W|)`` is reduced
+        once per layer, and all candidates share one buffer instead of
+        faulting in a fresh fc-layer-sized array each.
+        """
+        scratch = self._weight_scratch.get(layer.name)
+        if scratch is None:
+            weights = np.asarray(layer.weights, dtype=np.float64)
             # Same value quantization_scale computes: max(|W|) via the two
             # reductions, no |W|-sized temporary.
-            max_abs = max(float(np.max(tensor)), -float(np.min(tensor))) if tensor.size else 0.0
-            self._weight_max_abs[layer_name] = max_abs
-        return quantize(weights, bits, max_abs=max_abs, out=scratch)
+            max_abs = max(float(np.max(weights)), -float(np.min(weights))) if weights.size else 0.0
+            scratch = _WeightScratch(max_abs=max_abs, buffer=np.empty_like(weights))
+            self._weight_scratch[layer.name] = scratch
+        if scratch.bits != bits:
+            # The 1-bit binary path scales by the mean magnitude and ignores
+            # the max(|W|) hint.
+            quantize(layer.weights, bits, max_abs=scratch.max_abs, out=scratch.buffer)
+            scratch.bits = bits
+        return scratch.buffer
+
+    def _forward_quantized_weights(self, layer: Layer, rows: np.ndarray, bits: int) -> np.ndarray:
+        """``layer.forward_batch(rows, QuantizationConfig(weight_bits=bits))``.
+
+        The quantised weights are swapped in for the call instead of being
+        re-quantised by it -- ``quantize`` is deterministic, so the
+        arithmetic is unchanged.
+        """
+        original = layer.weights
+        layer.weights = self._quantized_weights(layer, bits)
+        try:
+            return layer.forward_batch(rows, None)
+        finally:
+            layer.weights = original
 
     #: Samples evaluated by the leading certification probe of a scan's first
     #: candidate (later candidates re-probe the samples that disagreed at
     #: lower bit widths instead).
     _PROBE_CHUNK = 4
 
-    def _probe_candidate(
+    def _scan(
         self,
         layer_name: str,
-        config: QuantizationConfig,
-        suspects: np.ndarray | None,
-    ) -> tuple[bool, np.ndarray]:
-        """Does quantising one layer keep the accuracy target?  (Early exit.)
+        target: str,
+        reference: np.ndarray,
+        passes: Callable[[int], bool],
+    ) -> Generator[_Probe, _Answer, int]:
+        """One layer's minimum-bits scan, yielding its row batches as probes.
 
-        The pass/fail decision is a monotone function of the number of
-        correctly-classified (or argmax-agreeing) samples, so any evaluated
-        subset whose disagreements already push the best-achievable score
-        below the target certifies *failure* without touching the rest of
-        the batch.  The probe exploits that twice:
+        Candidates are tried from low to high bits exactly as the reference
+        does.  The pass/fail decision is a monotone function of the number
+        of correctly-classified (or argmax-agreeing) samples, so any
+        evaluated subset whose disagreements already push the best
+        achievable score below the target certifies *failure* without
+        touching the rest of the batch.  A candidate is therefore probed in
+        up to two stages:
 
-        * ``suspects`` carries every sample index seen disagreeing at the
-          lower-bit candidates of the same scan -- corruption shrinks as
-          bits grow, so previously-disagreeing samples are the cheapest
-          failure certificate available;
-        * a scan's first candidate (no suspects yet) probes a small leading
-          chunk, which certifies the grossly-failing low-bit candidates.
+        * every sample seen disagreeing at the lower-bit candidates of this
+          scan (corruption shrinks as bits grow, so previous offenders are
+          the cheapest failure certificate available) -- or, for the first
+          candidate, a leading chunk of ``_PROBE_CHUNK`` samples;
+        * if that does not certify failure, every sample not yet evaluated,
+          after which the decision is the reference's own.
 
-        Undecided probes fall back to one whole-batch evaluation -- the same
-        batch shape and float operations the reference path runs -- so the
-        returned decision is identical to a full evaluation.
-
-        When the probe quantises weights, the probed layer's weights are
-        quantised once up front and temporarily swapped in (with the
-        remaining config stripped of its ``weight_bits``) instead of being
-        re-quantised by every forward call -- ``quantize`` is deterministic,
-        so the arithmetic is unchanged.
-
-        Returns ``(passed, disagreeing sample indices)``; the indices seed
-        the next candidate's ``suspects``.
+        Each probe is sent back as ``(sample indices, predictions)``; a
+        sweep may answer with more samples than asked (a near-tie
+        fallback answers for the whole batch).  Returns the minimum bits.
         """
-        position, inputs = self._layer_prefix_inputs()[layer_name]
-        probed = self.network.layers[position]
-        count = inputs.shape[0]
+        count = reference.shape[0]
+        suspects = np.arange(0)
+        for bits in self.candidate_bits:
+            if target == "weights":
+                config = QuantizationConfig(weight_bits=bits)
+            else:
+                config = QuantizationConfig(activation_bits=bits)
+            pending = suspects if suspects.size else np.arange(min(self._PROBE_CHUNK, count))
+            known = np.zeros(count, dtype=bool)
+            wrong = np.zeros(count, dtype=bool)
+            while True:
+                indices, predictions = yield _Probe(layer_name, config, pending)
+                known[indices] = True
+                wrong[indices] = predictions != reference[indices]
+                # Best achievable hits: every sample not seen disagreeing.
+                passed = passes(count - int(np.count_nonzero(wrong)))
+                if known.all() or not passed:
+                    break
+                pending = np.flatnonzero(~known)
+            if passed:
+                return bits
+            # Accumulate every sample seen disagreeing in this scan:
+            # near-threshold candidates often fail through a different
+            # sample than their predecessor, and the union keeps all of
+            # them on the cheap certification path.
+            suspects = np.union1d(suspects, np.flatnonzero(wrong))
+        return self.candidate_bits[-1]
+
+    def _sweep(self, probes: list[_Probe]) -> list[_Answer]:
+        """Run every probe in one pass down the network; answer each.
+
+        Rows are carried down in one concatenated batch.  At each weighted
+        layer, the probes entering there join it: activation probes with
+        their rows pre-quantised (per sample, as the layer itself would),
+        so they share the layer's unquantised GEMM with the carried rows;
+        weight probes through one extra call with their quantised weights.
+        Every layer below the first entry therefore runs once on the
+        unquantised weights (plus once for a weight probe entering there).
+        """
+        self.sweeps += 1
+        prefix = self._layer_prefix_inputs()
+        entering: dict[int, list[int]] = {}
+        for number, probe in enumerate(probes):
+            entering.setdefault(prefix[probe.layer][0], []).append(number)
+        carried: np.ndarray | None = None
+        owners: list[int] = []  # probe number of each row segment, in row order
+        for position in range(min(entering), len(self.network.layers)):
+            layer = self.network.layers[position]
+            shared = [] if carried is None else [carried]
+            weight_probes = []
+            for number in entering.get(position, ()):
+                probe = probes[number]
+                rows = prefix[probe.layer][1][probe.indices]
+                if probe.config.weight_bits is None:
+                    shared.append(quantize_per_sample(rows, probe.config.activation_bits))
+                    owners.append(number)
+                else:
+                    weight_probes.append((number, rows))
+            outputs = []
+            if shared:
+                outputs.append(layer.forward_batch(_stack(shared), None))
+            for number, rows in weight_probes:
+                outputs.append(
+                    self._forward_quantized_weights(layer, rows, probes[number].config.weight_bits)
+                )
+                owners.append(number)
+            carried = _stack(outputs)
+        predictions = np.argmax(carried, axis=1)
+        near_ties = _near_ties(carried)
+        answers: list[_Answer] = [None] * len(probes)  # type: ignore[list-item]
+        start = 0
+        for number in owners:
+            probe = probes[number]
+            stop = start + probe.indices.size
+            if near_ties[start:stop].any():
+                self.near_tie_fallbacks += 1
+                logits = self._suffix_logits(probe.layer, probe.config)
+                answers[number] = (np.arange(logits.shape[0]), np.argmax(logits, axis=1))
+            else:
+                answers[number] = (probe.indices, predictions[start:stop])
+            start = stop
+        return answers
+
+    def _lockstep_profile(self) -> list[LayerPrecisionProfile]:
+        """All scans of all layers, advanced together one sweep at a time."""
+        count = self.samples.shape[0]
+        self._layer_prefix_inputs()  # also fills the baseline logits
         if self.labels is None:
             reference = self._baseline_predictions
-            baseline = None
+            baseline = 1.0
         else:
-            reference = np.asarray(self.labels)
+            reference = self.labels
             baseline = self.baseline_accuracy()
             if baseline == 0:
                 raise ValueError("baseline accuracy is zero; cannot compute relative accuracy")
 
-        def score(hits: int) -> float:
-            # Exactly mirrors np.mean over the full batch: sums of 0/1 values
-            # are exact integers, so hits/count is the same correctly-rounded
-            # float64 the reference metric produces.
+        def passes(hits: int) -> bool:
+            # Exactly mirrors the reference metrics' np.mean over the full
+            # batch: sums of 0/1 values are exact integers, so hits/count is
+            # the same correctly-rounded float64 they produce (and x / 1.0
+            # is x under the agreement proxy).
             accuracy = float(np.float64(hits) / np.float64(count))
-            return accuracy if baseline is None else accuracy / baseline
+            return accuracy / baseline >= self.relative_accuracy_target
 
-        def certifies_failure(misses: int) -> bool:
-            # Even if every sample not yet seen disagreeing were a hit, the
-            # score could not reach the target.
-            return score(count - misses) < self.relative_accuracy_target
-
-        def predictions(batch: np.ndarray, probed_config: QuantizationConfig | None) -> np.ndarray:
-            tensors = batch
-            for layer in self.network.layers[position:]:
-                tensors = layer.forward_batch(
-                    tensors, probed_config if layer is probed else None
-                )
-            return np.argmax(tensors, axis=1)
-
-        swap_weights = config.weight_bits is not None and probed.has_weights
-        if swap_weights:
-            original_weights = probed.weights
-            probed.weights = self._quantized_weights(layer_name, original_weights, config.weight_bits)
-            probed_config = (
-                QuantizationConfig(activation_bits=config.activation_bits)
-                if config.activation_bits is not None
-                else None
-            )
-        else:
-            probed_config = config
+        names = [layer.name for layer in self.network.weighted_layers()]
+        scans = {
+            (name, target): self._scan(name, target, reference, passes)
+            for name in names
+            for target in ("weights", "activations")
+        }
+        found: dict[tuple[str, str], int] = {}
         try:
-            probed_indices = np.arange(0)
-            disagreeing = np.arange(0)
-            if suspects is not None and suspects.size:
-                probed_indices = suspects
-                disagreeing = suspects[
-                    predictions(inputs[suspects], probed_config) != reference[suspects]
-                ]
-                if certifies_failure(int(disagreeing.size)):
-                    return False, disagreeing
-            elif suspects is None:
-                first = min(self._PROBE_CHUNK, count)
-                if first < count:
-                    probed_indices = np.arange(first)
-                    disagreeing = np.flatnonzero(
-                        predictions(inputs[:first], probed_config) != reference[:first]
-                    )
-                    if certifies_failure(int(disagreeing.size)):
-                        return False, disagreeing
-            # Undecided: evaluate the samples the early stage did not touch
-            # and combine the exact per-sample miss counts (sample results
-            # are independent of how the batch is split).
-            rest = (
-                np.setdiff1d(np.arange(count), probed_indices)
-                if probed_indices.size
-                else np.arange(count)
-            )
-            rest_disagreeing = rest[predictions(inputs[rest], probed_config) != reference[rest]]
-            disagreeing = np.union1d(disagreeing, rest_disagreeing)
-            passed = score(count - int(disagreeing.size)) >= self.relative_accuracy_target
-            return passed, disagreeing
+            pending = {key: next(scan) for key, scan in scans.items()}
+            while pending:
+                keys = list(pending)
+                for key, answer in zip(keys, self._sweep([pending[key] for key in keys])):
+                    try:
+                        pending[key] = scans[key].send(answer)
+                    except StopIteration as done:
+                        found[key] = done.value
+                        del pending[key]
         finally:
-            if swap_weights:
-                probed.weights = original_weights
+            self._weight_scratch.clear()
+        return [
+            LayerPrecisionProfile(
+                layer=name,
+                weight_bits=found[(name, "weights")],
+                activation_bits=found[(name, "activations")],
+            )
+            for name in names
+        ]
 
     # -- search ------------------------------------------------------------------
 
-    def minimum_bits_for_layer(
-        self, layer_name: str, *, target: str, incremental: bool = False
-    ) -> int:
-        """Smallest precision of ``target`` (``"weights"``/``"activations"``) for one layer."""
+    def minimum_bits_for_layer(self, layer_name: str, *, target: str) -> int:
+        """Smallest precision of ``target`` (``"weights"``/``"activations"``) for one layer.
+
+        Full-forward reference evaluation of every candidate.
+        """
         if target not in ("weights", "activations"):
             raise ValueError("target must be 'weights' or 'activations'")
-        # Seed the scan with the most frequent offenders of earlier scans
-        # (when there are none, the probe falls back to its leading chunk).
-        ranked = np.argsort(-self._suspect_counts, kind="stable")
-        seed = ranked[self._suspect_counts[ranked] > 0][:3]
-        suspects: np.ndarray | None = np.sort(seed) if seed.size else None
         layer_names = [layer.name for layer in self.network.weighted_layers()]
         if layer_name not in layer_names:
             raise ValueError(f"unknown weighted layer {layer_name!r}")
@@ -345,21 +469,6 @@ class PrecisionSearch:
                 config = QuantizationConfig(weight_bits=bits)
             else:
                 config = QuantizationConfig(activation_bits=bits)
-            if incremental:
-                passed, disagreeing = self._probe_candidate(layer_name, config, suspects)
-                self._suspect_counts[disagreeing] += 1
-                if passed:
-                    return bits
-                # Accumulate every sample seen disagreeing in this scan:
-                # near-threshold candidates often fail through a different
-                # sample than their predecessor, and the union keeps all of
-                # them on the cheap certification path.
-                suspects = (
-                    disagreeing
-                    if suspects is None
-                    else np.union1d(suspects, disagreeing)
-                )
-                continue
             if self.relative_accuracy({layer_name: config}) >= self.relative_accuracy_target:
                 return bits
         return self.candidate_bits[-1]
@@ -367,26 +476,20 @@ class PrecisionSearch:
     def profile(self, *, incremental: bool = False) -> list[LayerPrecisionProfile]:
         """Per-layer minimum weight and activation precisions (Fig. 6 data).
 
-        ``incremental=True`` reuses the cached baseline prefix activations
-        per probe (bit-identical, much faster); the default full-forward
+        ``incremental=True`` runs the lockstep search (same profile, a
+        fraction of the weight traffic); the default full-forward
         evaluation is the golden reference.
         """
-        profiles = []
-        for layer in self.network.weighted_layers():
-            weight_bits = self.minimum_bits_for_layer(
-                layer.name, target="weights", incremental=incremental
+        if incremental:
+            return self._lockstep_profile()
+        return [
+            LayerPrecisionProfile(
+                layer=layer.name,
+                weight_bits=self.minimum_bits_for_layer(layer.name, target="weights"),
+                activation_bits=self.minimum_bits_for_layer(layer.name, target="activations"),
             )
-            activation_bits = self.minimum_bits_for_layer(
-                layer.name, target="activations", incremental=incremental
-            )
-            profiles.append(
-                LayerPrecisionProfile(
-                    layer=layer.name,
-                    weight_bits=weight_bits,
-                    activation_bits=activation_bits,
-                )
-            )
-        return profiles
+            for layer in self.network.weighted_layers()
+        ]
 
     def uniform_configs(self, profiles: list[LayerPrecisionProfile]) -> dict[str, QuantizationConfig]:
         """Quantisation configs applying every layer's found precisions at once."""

@@ -13,13 +13,13 @@ content-addressed units, deduplicated across the request batch, and the
 missing ones are produced over worker processes in topological waves --
 the shared multiplier characterisation is computed exactly once per cold
 ``run all``, and fig6's trained LeNet, its precision profile (a second
-wave) and the AlexNet profile are produced through the incremental search
+wave) and the AlexNet profile are produced through the lockstep search
 producers.  The experiments themselves then fan out with the store
 active, so their resolvers replay the intermediates instead of
 recomputing them.  Reports stay in request order and rows stay
 bit-identical to a serial no-reuse run -- producers are deterministic
-functions of their parameters and the incremental search is gated
-bit-identical to the full-forward reference.
+functions of their parameters and the lockstep search is gated to the
+same profiles as the full-forward reference.
 
 Cached and live paths return identical (sanitised) rows, so downstream
 rendering/export code never needs to know which path produced them.

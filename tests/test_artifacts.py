@@ -472,10 +472,10 @@ class TestIncrementalSearch:
         search = PrecisionSearch(
             network, digit_dataset.test_images[:8], labels=digit_dataset.test_labels[:8]
         )
-        layer = network.weighted_layers()[0]
-        before = layer.weights.copy()
-        search.minimum_bits_for_layer(layer.name, target="weights", incremental=True)
-        np.testing.assert_array_equal(layer.weights, before)
+        before = {layer.name: layer.weights.copy() for layer in network.weighted_layers()}
+        search.profile(incremental=True)
+        for layer in network.weighted_layers():
+            np.testing.assert_array_equal(layer.weights, before[layer.name])
 
 
 class TestFig6ArtifactPath:
@@ -566,6 +566,28 @@ class TestQuantizeFastPaths:
             baseline = quantize(tensor, bits)
             result = quantize(tensor, bits, out=scratch)
             assert result.tobytes() == baseline.tobytes()
+
+    def test_binary_out_buffer_receives_result(self):
+        # -0.0 maps to +scale exactly as np.where(t >= 0.0, scale, -scale).
+        tensor = np.array([[-0.0, 0.0, 1.5], [-2.0, 3e-310, -1e-300]])
+        scale = float(np.mean(np.abs(tensor)))
+        expected = np.where(tensor >= 0.0, scale, -scale)
+        scratch = np.empty_like(tensor)
+        result = quantize(tensor, 1, out=scratch)
+        assert result is scratch
+        assert result.tobytes() == expected.tobytes()
+        assert quantize(tensor, 1).tobytes() == expected.tobytes()
+        # ``out`` may alias the input.
+        aliased = tensor.copy()
+        assert quantize(aliased, 1, out=aliased).tobytes() == expected.tobytes()
+
+    def test_binary_zero_scale_writes_zeros(self):
+        tensor = np.array([0.0, -0.0, 0.0])
+        scratch = np.full_like(tensor, 7.0)
+        result = quantize(tensor, 1, out=scratch)
+        assert result is scratch
+        assert result.tobytes() == np.zeros_like(tensor).tobytes()
+        assert quantize(tensor, 1).tobytes() == np.zeros_like(tensor).tobytes()
 
     def test_max_abs_hint_matches(self):
         rng = np.random.default_rng(2)

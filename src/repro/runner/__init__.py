@@ -9,11 +9,15 @@ The runner unifies how the reproduction executes (PR 3, extended in PR 5):
 * :mod:`repro.runner.backends` -- the pluggable :class:`StoreBackend`
   protocol (disk + in-memory), first-writer-wins fill claims and LRU
   eviction shared by both stores;
-* :mod:`repro.runner.cache` -- the content-addressed result cache
+* :mod:`repro.runner.store` -- the one content-addressed
+  :class:`ContentStore` (quarantine, fill claims, LRU budget, listings)
+  bound to a codec per kind of entry, and the persisted
+  :class:`StoreStats` counters;
+* :mod:`repro.runner.cache` -- the result cache, its JSON codec
   (key = experiment + canonical params + code fingerprint);
-* :mod:`repro.runner.artifacts` -- the content-addressed store for shared
-  sub-experiment intermediates (key = artifact + canonical params +
-  producer fingerprint) with hit/miss statistics;
+* :mod:`repro.runner.artifacts` -- the artifact store for shared
+  sub-experiment intermediates, its pickle codec (key = artifact +
+  canonical params + producer fingerprint);
 * :mod:`repro.runner.executor` -- process-parallel sweep/artifact/experiment
   fan-out with deterministic record ordering;
 * :mod:`repro.runner.service` -- the cache- and artifact-aware
@@ -26,14 +30,10 @@ The runner unifies how the reproduction executes (PR 3, extended in PR 5):
 from .artifacts import (
     ArtifactEntry,
     ArtifactStore,
-    StoreStats,
     activated,
     active_store,
     artifact_key,
     default_artifact_root,
-    load_stats,
-    record_stats,
-    reset_stats,
     resolve_artifact,
 )
 from .backends import (
@@ -44,7 +44,7 @@ from .backends import (
     evict_lru,
     wait_for_fill,
 )
-from .cache import CacheEntry, ResultCache, cache_key, default_cache_root
+from .cache import CacheEntry, ResultCache, cache_key
 from .cli import CliError, main
 from .errors import (
     ExecutionError,
@@ -59,6 +59,7 @@ from .executor import execute_requests, parallel_sweep, produce_artifacts
 from .fingerprint import code_fingerprint, module_closure
 from .registry import ArtifactBinding, ExperimentSpec, ParamSpec, build_registry
 from .service import ArtifactUnit, ExperimentRunner, Observer, RunReport
+from .store import StoreStats, default_cache_root, load_stats, record_stats, reset_stats
 
 __all__ = [
     "ArtifactBinding",

@@ -1,10 +1,10 @@
 """Pluggable storage backends for the content-addressed stores.
 
-Both stores (:class:`~repro.runner.cache.ResultCache` and
-:class:`~repro.runner.artifacts.ArtifactStore`) speak one byte-level
-:class:`StoreBackend` protocol: entries are opaque blobs addressed by a
-``(namespace, filename)`` pair (namespace = experiment/artifact name,
-filename = ``<content key> + suffix``).  The stores keep all semantics --
+The content-addressed store (:class:`~repro.runner.store.ContentStore`,
+under both of its codecs) speaks one byte-level :class:`StoreBackend`
+protocol: entries are opaque blobs addressed by a ``(namespace,
+filename)`` pair (namespace = experiment/artifact name, filename =
+``<content key> + suffix``).  The store keeps all semantics --
 serialisation, schema checks, corruption quarantine, counters, fault
 sites -- while backends own durability, atomicity and the concurrency
 primitives:
@@ -38,6 +38,7 @@ drivers' code fingerprints.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import socket
@@ -106,6 +107,18 @@ def env_max_bytes(name: str) -> int | None:
     except ValueError:
         return None
     return parsed if parsed > 0 else None
+
+
+def backoff_delay(seed: str, attempt: int, base: float, cap: float) -> float:
+    """Exponential backoff with deterministic jitter (seeded, not random).
+
+    The executor's unit retries and the networked store's reconnects share
+    it.  Jitter spreads simultaneous retries without sacrificing
+    reproducible runs: the same (seed, attempt) always waits the same time.
+    """
+    delay = min(cap, base * (2 ** max(0, attempt - 1)))
+    jitter = hashlib.sha256(f"{seed}:{attempt}".encode()).digest()[0] / 255.0  # [0, 1]
+    return delay * (0.5 + 0.5 * jitter)
 
 
 @dataclass(frozen=True)
@@ -524,9 +537,8 @@ def claim_is_owned(store, namespace: str, key: str) -> bool:
 def wait_for_fill(store, namespace: str, key: str, *, poll_seconds: float | None = None):
     """Poll until a concurrent filler's entry lands, or the caller must compute.
 
-    ``store`` is a :class:`~repro.runner.cache.ResultCache` /
-    :class:`~repro.runner.artifacts.ArtifactStore` (anything exposing
-    ``get``/``claim``/``claim_info``/``break_claim``/``release_claim``).
+    ``store`` is a :class:`~repro.runner.store.ContentStore` (anything
+    exposing ``get``/``claim``/``claim_info``/``break_claim``/``release_claim``).
     Returns the winner's entry when the fill completes.  Returns ``None``
     when the caller should compute instead -- either it now *owns* the
     claim (the previous winner died or released without filling) or the

@@ -43,18 +43,21 @@ Callables shipped to workers must be picklable, i.e. module-level.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from ..analysis.sweep import SweepResult, sweep_grid
 from ..faults import fault_point
+from .backends import backoff_delay
 from .errors import UnitTimeoutError, WorkerCrashError
+
+if TYPE_CHECKING:
+    from .store import StoreStats
 
 
 @dataclass(frozen=True)
@@ -129,18 +132,6 @@ def _worker_count(jobs: int, tasks: int, *, oversubscribe: bool = False) -> int:
     return min(jobs, tasks, max(1, cpus))
 
 
-def _backoff_delay(policy: ExecutionPolicy, attempt: int, seed: str) -> float:
-    """Exponential backoff with deterministic jitter (seeded, not random).
-
-    Jitter spreads simultaneous retries without sacrificing reproducible
-    runs: the same (seed, attempt) always waits the same time.
-    """
-    base = min(policy.backoff_cap_seconds, policy.backoff_seconds * (2 ** max(0, attempt - 1)))
-    digest = hashlib.sha256(f"{seed}:{attempt}".encode()).digest()
-    jitter = digest[0] / 255.0  # [0, 1], deterministic in the seed
-    return base * (0.5 + 0.5 * jitter)
-
-
 def _teardown_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down even when its workers are hung or already dead.
 
@@ -213,7 +204,9 @@ class _ResilientRun:
         if self.respawns_left < 0:
             return False
         self.outcome.respawns += 1
-        time.sleep(_backoff_delay(self.policy, attempt, seed))
+        time.sleep(
+            backoff_delay(seed, attempt, self.policy.backoff_seconds, self.policy.backoff_cap_seconds)
+        )
         return True
 
     def _on_crash(self, victims: list[int]) -> None:
@@ -412,7 +405,7 @@ def _build_artifact_store(store_root: str, store_url: str | None):
 
 def _produce_artifact(
     task: tuple[str, str, dict[str, object], str, str, str, str | None],
-) -> tuple[str, float, dict[str, int]]:
+) -> tuple[str, float, StoreStats]:
     """Worker body: compute one artifact unit and persist it into the store.
 
     The store is activated around the producer call so producers that
@@ -444,7 +437,7 @@ def produce_artifacts(
     jobs: int | None = None,
     policy: ExecutionPolicy | None = None,
     outcome: ExecutionOutcome | None = None,
-) -> list[tuple[str, float, dict[str, int]]]:
+) -> list[tuple[str, float, StoreStats]]:
     """Produce artifact units (optionally in parallel); results in input order.
 
     Each task is ``(artifact, producer path, params, key, fingerprint,

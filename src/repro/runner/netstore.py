@@ -40,7 +40,6 @@ static import closure and cache/artifact fingerprints do not churn.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -52,7 +51,7 @@ import time
 from pathlib import Path
 
 from ..faults import FaultInjected, fault_point
-from .backends import ClaimTicket, DiskBackend, EntryStat, evict_lru
+from .backends import ClaimTicket, DiskBackend, EntryStat, backoff_delay, evict_lru
 
 logger = logging.getLogger(__name__)
 
@@ -139,13 +138,6 @@ def parse_store_url(url: str) -> tuple[str, int]:
     if not 0 < port < 65536:
         raise ValueError(f"store url {url!r}: port {port} out of range")
     return host, port
-
-
-def _backoff_delay(attempt: int, seed: str) -> float:
-    """Exponential backoff with deterministic sha256 jitter (executor idiom)."""
-    base = min(_BACKOFF_CAP_SECONDS, _BACKOFF_BASE_SECONDS * (2 ** max(0, attempt - 1)))
-    digest = hashlib.sha256(f"{seed}:{attempt}".encode()).digest()
-    return base * (0.5 + 0.5 * digest[0] / 255.0)
 
 
 # -- framing ------------------------------------------------------------------------
@@ -592,7 +584,9 @@ class RemoteBackend:
                     last_error = error
                     self._drop_connection()
                     if attempt <= self.retries:
-                        time.sleep(_backoff_delay(attempt, f"{self.url}:{op}"))
+                        time.sleep(
+                            backoff_delay(f"{self.url}:{op}", attempt, _BACKOFF_BASE_SECONDS, _BACKOFF_CAP_SECONDS)
+                        )
                     continue
                 if not response.get("ok"):
                     # The server answered coherently: an application error,

@@ -33,20 +33,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .artifacts import (
-    ArtifactStore,
-    StoreStats,
-    artifact_key,
-    load_producer,
-    produce_into,
-    record_stats,
-)
+from .artifacts import ArtifactStore, artifact_key, load_producer, produce_into
 from .backends import MemoryBackend, claim_is_owned, wait_for_fill
 from .cache import CacheEntry, ResultCache, cache_key, run_provenance
 from .errors import UnknownExperimentError
 from .executor import ExecutionOutcome, ExecutionPolicy, execute_requests, produce_artifacts
 from .fingerprint import code_fingerprint
 from .registry import ExperimentSpec, build_registry
+from .store import StoreStats, record_stats
 from ..analysis.sweep import SweepResult, sanitize_value
 
 logger = logging.getLogger(__name__)
@@ -337,18 +331,8 @@ class ExperimentRunner:
                 # Fold worker-side store telemetry (claims won/lost against
                 # concurrent fillers, corruption, evictions, remote traffic)
                 # into the stats the parent persists.
-                for produced_unit in produced:
-                    drained = produced_unit[2] if len(produced_unit) > 2 else {}
-                    stats.artifact_claims += drained.get("claims", 0)
-                    stats.artifact_claim_waits += drained.get("claim_waits", 0)
-                    stats.artifact_corrupt += drained.get("corrupt", 0)
-                    stats.quarantined += drained.get("quarantined", 0)
-                    stats.artifact_evictions += drained.get("evictions", 0)
-                    stats.artifact_evicted_bytes += drained.get("evicted_bytes", 0)
-                    stats.claim_wait_timeouts += drained.get("claim_wait_timeouts", 0)
-                    stats.remote_hits += drained.get("remote_hits", 0)
-                    stats.remote_errors += drained.get("remote_errors", 0)
-                    stats.breaker_opens += drained.get("breaker_opens", 0)
+                for _key, _elapsed, drained in produced:
+                    stats = stats.add(drained)
             if observer is not None:
                 observer({"event": "artifact_wave_done", "level": level, "produced": len(missing)})
         return stats
@@ -603,24 +587,7 @@ class ExperimentRunner:
                     key=source.key,
                     fingerprint=source.fingerprint,
                 )
-        result_drained = self.cache.drain_stats()
-        artifact_drained = self.artifacts.drain_stats()
-        stats.result_corrupt += result_drained["corrupt"]
-        stats.artifact_corrupt += artifact_drained["corrupt"]
-        stats.quarantined += result_drained["quarantined"] + artifact_drained["quarantined"]
-        stats.result_claims += result_drained["claims"]
-        stats.result_claim_waits += result_drained["claim_waits"]
-        stats.result_evictions += result_drained["evictions"]
-        stats.result_evicted_bytes += result_drained["evicted_bytes"]
-        stats.artifact_claims += artifact_drained["claims"]
-        stats.artifact_claim_waits += artifact_drained["claim_waits"]
-        stats.artifact_evictions += artifact_drained["evictions"]
-        stats.artifact_evicted_bytes += artifact_drained["evicted_bytes"]
-        for drained in (result_drained, artifact_drained):
-            stats.claim_wait_timeouts += drained.get("claim_wait_timeouts", 0)
-            stats.remote_hits += drained.get("remote_hits", 0)
-            stats.remote_errors += drained.get("remote_errors", 0)
-            stats.breaker_opens += drained.get("breaker_opens", 0)
+        stats = stats.add(self.cache.drain_stats()).add(self.artifacts.drain_stats())
         stats.retried += outcome.retries
         if (self.use_cache or self.use_artifacts) and self.cache.root is not None:
             try:

@@ -32,10 +32,10 @@ from .models import (
 )
 from .server import Request, Response
 from .. import api
-from ..runner.artifacts import load_stats
 from ..runner.backends import MemoryBackend
 from ..runner.cache import ResultCache
 from ..runner.service import ExperimentRunner, RunReport
+from ..runner.store import load_stats
 
 #: Byte budget of the in-memory warm-path L1 (0 disables it).
 WARM_CACHE_ENV = "REPRO_WARM_CACHE_BYTES"

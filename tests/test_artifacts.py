@@ -1,9 +1,8 @@
 """Tests for the cross-experiment artifact graph (PR 5).
 
-Covered here:
+Covered here (the store itself is exercised under both codecs in
+``test_stores.py``):
 
-* the content-addressed :class:`~repro.runner.artifacts.ArtifactStore`
-  (round trips, corruption-as-miss, name validation, listings, clearing);
 * artifact keying (schema + name + canonical params + producer fingerprint);
 * resolvers: inline compute without a store, compute-once/replay with one;
 * the registry's ``ARTIFACTS`` declarations and the runner's deduplicated
@@ -34,95 +33,21 @@ from repro.nn import PrecisionSearch
 from repro.nn.quantization import quantization_scale, quantize
 from repro.runner import ExperimentRunner, ResultCache
 from repro.runner.artifacts import (
-    ArtifactEntry,
     ArtifactStore,
     activated,
     active_store,
     artifact_key,
     canonical_params_json,
     load_producer,
-    load_stats,
-    record_stats,
-    reset_stats,
     resolve_artifact,
-    StoreStats,
 )
 from repro.runner.cli import main
 from repro.runner.fingerprint import code_fingerprint, module_closure
 from repro.runner.registry import build_registry
+from repro.runner.store import StoreStats, load_stats, record_stats, reset_stats
 
 #: Reduced characterization workload shared by the reuse tests.
 CHAR_PARAMS = {"samples": 40, "seed": 11}
-
-
-def _entry(payload, *, artifact="unit", params=None):
-    return ArtifactEntry(
-        artifact=artifact,
-        params=dict(params or {}),
-        fingerprint="f" * 64,
-        payload=payload,
-        elapsed_seconds=0.25,
-    )
-
-
-class TestArtifactStore:
-    def test_put_get_round_trip_preserves_numpy_payloads(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        payload = {"values": np.linspace(0.0, 1.0, 17), "count": 3}
-        key = artifact_key("unit", {"a": 1}, "f" * 64)
-        store.put(key, _entry(payload, params={"a": 1}))
-        loaded = store.get("unit", key)
-        assert loaded is not None
-        assert loaded.params == {"a": 1}
-        assert loaded.elapsed_seconds == 0.25
-        np.testing.assert_array_equal(loaded.payload["values"], payload["values"])
-        assert loaded.payload["values"].tobytes() == payload["values"].tobytes()
-
-    def test_missing_and_corrupt_entries_are_misses(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        key = "0" * 64
-        assert store.get("unit", key) is None
-        path = tmp_path / "unit" / f"{key}.pkl"
-        path.parent.mkdir(parents=True)
-        path.write_bytes(b"not a pickle")
-        assert store.get("unit", key) is None
-        # The corrupt entry is quarantined aside, so the next probe is a
-        # clean miss and the producer recomputes into a fresh entry.
-        assert not path.exists()
-        assert (tmp_path / "corrupt" / "unit" / f"{key}.pkl").exists()
-        drained = store.drain_stats()
-        assert drained["corrupt"] == 1 and drained["quarantined"] == 1
-        assert not store.exists("unit", key)
-
-    def test_wrong_schema_version_is_a_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        key = "1" * 64
-        store.put(key, _entry("payload"))
-        import pickle
-
-        path = tmp_path / "unit" / f"{key}.pkl"
-        document = pickle.loads(path.read_bytes())
-        document["schema"] = -1
-        path.write_bytes(pickle.dumps(document))
-        assert store.get("unit", key) is None
-
-    def test_invalid_artifact_names_rejected(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        for bad in ("", ".", "..", "a/b", "../escape"):
-            with pytest.raises(ValueError):
-                store.get(bad, "0" * 64)
-
-    def test_ls_and_clear(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.put("k1" * 32, _entry(1, artifact="alpha"))
-        store.put("k2" * 32, _entry(2, artifact="beta"))
-        listing = store.ls()
-        assert [row["artifact"] for row in listing] == ["alpha", "beta"]
-        assert all(row["size_bytes"] > 0 for row in listing)
-        assert store.clear("alpha") == 1
-        assert [row["artifact"] for row in store.ls()] == ["beta"]
-        assert store.clear() == 1
-        assert store.ls() == []
 
 
 class TestKeys:

@@ -245,7 +245,7 @@ class TestResultCache:
         assert cache.ls() == []  # quarantined entries are out of the listing
         drained = cache.drain_stats()
         assert drained["corrupt"] == 3 and drained["quarantined"] == 3
-        assert all(count == 0 for count in cache.drain_stats().values())  # draining resets
+        assert all(count == 0 for count in cache.drain_stats().to_document().values())  # draining resets
 
     def test_ls_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)

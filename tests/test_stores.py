@@ -1,38 +1,40 @@
-"""Concurrent multi-tenant store suite: backends, fill claims, eviction.
+"""Concurrent multi-tenant store suite: backends, the store, fill claims, eviction.
 
 Covers the :class:`~repro.runner.backends.StoreBackend` seam both stores
 share -- the disk and in-memory backends must satisfy the same contract
--- plus the concurrency machinery layered on top: first-writer-wins fill
-claims (exactly-once compute under many concurrent writers, stale-claim
-takeover when a winner dies), LRU eviction under a byte budget (in-flight
-fills, quarantine sidecars and the freshest entry are never evicted) and
-the append-only stats log that concurrent recorders cannot clobber.
+-- then the one :class:`~repro.runner.store.ContentStore` under both of
+its codecs (result JSON, artifact pickle) over every backend: round
+trips, quarantine of any undecodable blob, read-only listings, fill
+claims and budget counters.  On top of that, the concurrency machinery:
+first-writer-wins fill claims (exactly-once compute under many concurrent
+writers, stale-claim takeover when a winner dies), LRU eviction under a
+byte budget (in-flight fills, quarantine sidecars and the freshest entry
+are never evicted) and the append-only stats log that concurrent
+recorders cannot clobber.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
+import sys
 import threading
 import time
 import uuid
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.sweep import SweepResult
-from repro.runner.artifacts import (
-    ArtifactStore,
-    StoreStats,
-    load_stats,
-    produce_into,
-    record_stats,
-    reset_stats,
-)
+from repro.runner.artifacts import ArtifactEntry, ArtifactStore, produce_into
 from repro.runner.backends import (
     ClaimTicket,
     DiskBackend,
     MemoryBackend,
+    backoff_delay,
     evict_lru,
     wait_for_fill,
 )
@@ -40,6 +42,7 @@ from repro.runner.cache import CacheEntry, ResultCache, cache_key
 from repro.runner.cli import main
 from repro.runner.registry import ExperimentSpec
 from repro.runner.service import ExperimentRunner
+from repro.runner.store import StoreStats, load_stats, record_stats, reset_stats
 
 
 def _backend(kind, tmp_path):
@@ -47,19 +50,36 @@ def _backend(kind, tmp_path):
 
 
 @pytest.fixture(params=["disk", "memory", "remote"])
-def backend(request, tmp_path):
-    """One StoreBackend implementation per param: on-disk, in-memory, networked."""
+def backends(request, tmp_path):
+    """Opens handles onto one shared store: on-disk, in-memory or networked.
+
+    Every call returns a fresh handle (a new connection for the networked
+    backend) onto the same underlying entries.
+    """
     if request.param != "remote":
-        yield _backend(request.param, tmp_path)
+        shared = _backend(request.param, tmp_path)
+        yield lambda: shared
         return
     from repro.runner.netstore import RemoteBackend, StoreServer
 
     with StoreServer(tmp_path / "server") as server:
-        remote = RemoteBackend(server.url)
+        opened = []
+
+        def connect():
+            opened.append(RemoteBackend(server.url))
+            return opened[-1]
+
         try:
-            yield remote
+            yield connect
         finally:
-            remote.close()
+            for remote in opened:
+                remote.close()
+
+
+@pytest.fixture
+def backend(backends):
+    """One StoreBackend implementation per param: on-disk, in-memory, networked."""
+    return backends()
 
 
 def _result_entry(experiment="toy", rows=None, pad=0):
@@ -155,6 +175,252 @@ class TestDiskLayout:
         backend.put("ns", "bad.json", b"garbage")
         backend.quarantine("ns", "bad.json")
         assert (tmp_path / "corrupt" / "ns" / "bad.json").read_bytes() == b"garbage"
+
+
+# -- one store, two codecs (every backend) ------------------------------------------
+
+STORES = {"result": ResultCache, "artifact": ArtifactStore}
+KEY = "a" * 64
+
+
+def _entry(kind, namespace="unit", pad=0):
+    """A valid entry of ``kind`` (``pad`` grows it for budget tests)."""
+    provenance = {"created_unix": 1_700_000_000.0, **({"pad": "x" * pad} if pad else {})}
+    common = dict(params={"a": 1}, fingerprint="f" * 64, elapsed_seconds=0.25, provenance=provenance)
+    if kind == "result":
+        return CacheEntry(experiment=namespace, result=SweepResult(records=[{"a": 1}]), **common)
+    payload = {"values": np.linspace(0.0, 1.0, 17), "count": 3}
+    return ArtifactEntry(artifact=namespace, payload=payload, **common)
+
+
+@pytest.fixture(params=sorted(STORES))
+def kind(request):
+    return request.param
+
+
+@pytest.fixture
+def open_store(kind, backends):
+    """Opens a store of ``kind`` (a fresh handle each call) onto one backend."""
+    return lambda **options: STORES[kind](backend=backends(), **options)
+
+
+def _claim_or_wait(store, key, entry, calls):
+    """The runner's fill protocol: compute under a won claim, else wait."""
+    if store.claim("unit", key):
+        calls.append(key)
+        time.sleep(0.1)  # hold the claim long enough for losers to wait
+        store.put(key, entry)
+        return entry
+    store.note_wait()
+    return wait_for_fill(store, "unit", key)
+
+
+class TestContentStore:
+    def test_put_get_round_trip(self, kind, open_store):
+        store = open_store()
+        entry = _entry(kind)
+        assert store.get("unit", KEY) is None  # a plain miss ...
+        assert store.drain_stats()["corrupt"] == 0  # ... is not corruption
+        store.put(KEY, entry)
+        loaded = store.get("unit", KEY)
+        assert loaded is not None and store.exists("unit", KEY)
+        assert loaded.params == {"a": 1}
+        assert loaded.elapsed_seconds == 0.25
+        assert store.codec.encode(loaded) == store.codec.encode(entry)  # bit-identical
+        if kind == "artifact":
+            np.testing.assert_array_equal(loaded.payload["values"], entry.payload["values"])
+            assert loaded.payload["values"].tobytes() == entry.payload["values"].tobytes()
+
+    def test_undecodable_entries_are_quarantined(self, kind, open_store):
+        store = open_store()
+        codec = store.codec
+        filename = KEY + codec.suffix
+        wrong_schema = {**_entry(kind).to_document(), "schema": -1}
+        corruptions = [
+            b"not a pickle {not json",
+            b"\xff\xfe\x00garbage",  # non-UTF-8 bytes
+            codec.dumps(wrong_schema),
+            codec.dumps({"schema": codec.schema, "result": "not-an-object"}),  # broken shape
+        ]
+        for blob in corruptions:
+            store.backend.put("unit", filename, blob)
+            assert store.get("unit", KEY) is None  # corrupt entry = miss
+            assert not store.exists("unit", KEY)  # ... moved aside, not left in place
+            if store.root is not None:
+                assert (store.root / "corrupt" / "unit" / filename).read_bytes() == blob
+        assert store.ls() == []  # quarantined entries are out of the listing
+        drained = store.drain_stats()
+        assert drained[f"{codec.kind}_corrupt"] == len(corruptions)
+        assert drained["corrupt"] == drained["quarantined"] == len(corruptions)
+        assert all(count == 0 for count in store.drain_stats().to_document().values())  # reset
+        if store.root is not None:
+            assert store.quarantine_summary()["entries"] == 1  # one address, overwritten
+
+    def test_ls_is_read_only(self, kind, open_store):
+        store = open_store()
+        store.put(KEY, _entry(kind, "alpha"))
+        store.backend.put("broken", KEY + store.codec.suffix, b"\x00undecodable")
+        time.sleep(0.02)
+        before = {ns: store.backend.stat(ns, KEY + store.codec.suffix) for ns in ("alpha", "broken")}
+        listing = store.ls()
+        assert [row[store.codec.label] for row in listing] == ["alpha", "broken"]
+        assert listing[0]["created_unix"] == 1_700_000_000.0
+        assert listing[1]["elapsed_seconds"] is None  # listed, with empty metadata
+        for ns, stamp in before.items():
+            assert store.backend.stat(ns, KEY + store.codec.suffix).accessed_unix == stamp.accessed_unix
+        assert store.exists("broken", KEY)  # listing never quarantines
+        assert store.drain_stats()["quarantined"] == 0
+
+    def test_ls_and_clear(self, kind, open_store):
+        store = open_store()
+        store.put("1" * 64, _entry(kind, "alpha"))
+        store.put("2" * 64, _entry(kind, "beta"))
+        listing = store.ls()
+        assert [row[store.codec.label] for row in listing] == ["alpha", "beta"]
+        assert all(row["size_bytes"] > 0 for row in listing)
+        assert [key for key, _path in store.entries("beta")] == ["2" * 64]
+        assert store.clear("alpha") == 1
+        assert [row[store.codec.label] for row in store.ls()] == ["beta"]
+        assert store.clear() == 1
+        assert store.ls() == []
+
+    def test_invalid_names_rejected(self, kind, open_store):
+        store = open_store()
+        for bad in ("", ".", "..", "a/b", "../escape"):
+            with pytest.raises(ValueError, match=f"invalid {store.codec.label} name"):
+                store.get(bad, KEY)
+            with pytest.raises(ValueError):
+                store.clear(bad)
+
+    def test_racing_claims_compute_once(self, kind, open_store):
+        # Six contenders, each its own handle (its own connection when
+        # networked) -- the claim ticket arbitrates exactly-once.
+        stores = [open_store() for _ in range(6)]
+        calls, results = [], [None] * len(stores)
+
+        def producer(*, x):
+            calls.append(x)
+            time.sleep(0.1)  # hold the claim long enough for losers to wait
+            return {"value": x * 2}
+
+        def fill(slot):
+            if kind == "artifact":
+                results[slot] = produce_into(stores[slot], "unit", {"x": 21}, producer, key=KEY).payload
+            else:
+                results[slot] = _claim_or_wait(stores[slot], KEY, _entry(kind), calls).rows
+
+        threads = [threading.Thread(target=fill, args=(slot,)) for slot in range(len(stores))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(calls) == 1  # exactly one compute
+        assert all(result == results[0] for result in results)
+        drained = [store.drain_stats() for store in stores]
+        assert sum(d["claims"] for d in drained) == 1
+        assert sum(d["claim_waits"] for d in drained) == len(stores) - 1
+        assert stores[0].claim_info("unit", KEY) is None  # no claim left behind
+
+    def test_budget_evicts_with_counters(self, kind, open_store):
+        store = open_store(max_bytes=1_000)
+        keys = [f"{index:064d}" for index in range(6)]
+        for key in keys:
+            store.put(key, _entry(kind, pad=400))
+        listing = store.ls()
+        assert 1 <= len(listing) <= 2  # bounded by the budget
+        assert sum(row["size_bytes"] for row in listing) <= 1_000
+        assert keys[-1] in {row["key"] for row in listing}  # newest always kept
+        drained = store.drain_stats()
+        assert drained[f"{store.codec.kind}_evictions"] == 6 - len(listing)
+        assert drained["evicted_bytes"] > 0
+
+
+class TestCounterContention:
+    def test_concurrent_tallies_never_lose_increments(self, tmp_path):
+        # More threads than cores, switching as often as the interpreter
+        # allows: a lost read-modify-write would show as a short count.
+        store = ArtifactStore(backend=MemoryBackend())
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: [store.note_wait() for _ in range(2_000)])
+                for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert store.drain_stats().artifact_claim_waits == 16_000
+
+
+class TestQuarantineProperty:
+    @pytest.mark.parametrize("kind", sorted(STORES))
+    @settings(max_examples=75, deadline=None, derandomize=True)
+    @given(position=st.integers(min_value=0, max_value=1 << 16), flip=st.integers(1, 255))
+    @example(position=10, flip=0xD7)  # FRAME length's top byte: OverflowError on unpickle
+    def test_mutated_entry_never_raises_and_undecodable_is_quarantined(
+        self, kind, tmp_path_factory, position, flip
+    ):
+        store = STORES[kind](tmp_path_factory.mktemp("mutated"))
+        store.put(KEY, _entry(kind))
+        filename = KEY + store.codec.suffix
+        blob = bytearray(store.backend.get("unit", filename))
+        blob[position % len(blob)] ^= flip
+        store.backend.put("unit", filename, bytes(blob))
+        try:
+            store.codec.decode(bytes(blob))
+        except Exception:
+            decodable = False
+        else:
+            decodable = True
+        loaded = store.get("unit", KEY)  # never raises, whatever the bytes
+        drained = store.drain_stats()
+        if decodable:
+            assert loaded is not None and drained["corrupt"] == 0
+        else:
+            assert loaded is None
+            assert drained["corrupt"] == drained["quarantined"] == 1
+            assert (store.root / "corrupt" / "unit" / filename).read_bytes() == bytes(blob)
+
+
+# -- retry backoff ------------------------------------------------------------------
+
+
+class TestBackoff:
+    @staticmethod
+    def _executor_formula(base, cap, attempt, seed):
+        """The executor's retry delay as it was written before the merge."""
+        delay = min(cap, base * (2 ** max(0, attempt - 1)))
+        jitter = hashlib.sha256(f"{seed}:{attempt}".encode()).digest()[0] / 255.0
+        return delay * (0.5 + 0.5 * jitter)
+
+    @staticmethod
+    def _netstore_formula(base, cap, attempt, seed):
+        """The networked store's reconnect delay as it was written before the merge."""
+        delay = min(cap, base * (2 ** max(0, attempt - 1)))
+        digest = hashlib.sha256(f"{seed}:{attempt}".encode()).digest()
+        return delay * (0.5 + 0.5 * digest[0] / 255.0)
+
+    @pytest.mark.parametrize(
+        "seed, attempt, base, cap",
+        [
+            ("table1", 1, 0.05, 2.0),
+            ("fig6:artifact", 3, 0.05, 2.0),
+            ("fig6:artifact", 12, 0.05, 2.0),  # capped
+            ("tcp://127.0.0.1:8484:get", 1, 0.05, 0.5),
+            ("tcp://127.0.0.1:8484:claim", 4, 0.05, 0.5),
+            ("", 0, 1.0, 1.0),
+        ],
+    )
+    def test_one_helper_keeps_both_delays(self, seed, attempt, base, cap):
+        delay = backoff_delay(seed, attempt, base, cap)
+        assert delay == self._executor_formula(base, cap, attempt, seed)
+        assert delay == self._netstore_formula(base, cap, attempt, seed)
+        assert 0.5 * min(cap, base * 2 ** max(0, attempt - 1)) <= delay <= cap
 
 
 # -- stale-claim detection ----------------------------------------------------------
@@ -467,19 +733,6 @@ class TestEviction:
         drained = cache.drain_stats()
         assert drained["evictions"] > 0
         assert drained["corrupt"] == 0  # a raced read is a miss, never corruption
-
-    def test_result_cache_enforces_budget_with_counters(self, tmp_path):
-        cache = ResultCache(tmp_path, max_bytes=1_000)
-        keys = [cache_key("toy", json.dumps({"i": i}), "f" * 64) for i in range(6)]
-        for key in keys:
-            cache.put(key, _result_entry(pad=400))
-        listing = cache.ls()
-        assert 1 <= len(listing) <= 2  # bounded by the budget
-        assert sum(row["size_bytes"] for row in listing) <= 1_000
-        assert keys[-1] in {row["key"] for row in listing}  # newest always kept
-        drained = cache.drain_stats()
-        assert drained["evictions"] == 6 - len(listing)
-        assert drained["evicted_bytes"] > 0
 
     def test_env_budget_is_wired(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "12345")

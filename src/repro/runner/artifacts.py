@@ -63,7 +63,7 @@ from typing import Callable, Mapping
 
 from .backends import claim_is_owned, wait_for_fill
 from .fingerprint import code_fingerprint
-from .store import Codec, ContentStore, default_cache_root
+from .store import Codec, ContentStore, default_cache_root, numeric_stack
 from .store import StoreStats, load_stats, record_stats, reset_stats  # noqa: F401 - re-exported
 
 logger = logging.getLogger(__name__)
@@ -217,9 +217,7 @@ def activated(store: ArtifactStore | None):
 
 
 def _artifact_provenance() -> dict[str, object]:
-    import platform
-
-    return {"created_unix": round(time.time(), 3), "python": platform.python_version()}
+    return {"created_unix": round(time.time(), 3), **numeric_stack()}
 
 
 def produce_into(

@@ -7,7 +7,8 @@ payload carries the rows (serialised through
 :meth:`repro.analysis.sweep.SweepResult.to_jsonable`, so replay is
 bit-identical to a sanitised live run) plus provenance metadata: the exact
 config, the fingerprint, interpreter/numpy/package versions and a creation
-timestamp.
+timestamp.  An entry recorded under another Python or numpy major.minor
+reads as a miss (see :class:`~repro.runner.store.ContentStore`).
 
 Storage semantics -- atomic writes, fill claims, the byte budget
 (``--cache-max-bytes`` / ``$REPRO_CACHE_MAX_BYTES``), quarantine of any
@@ -22,13 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import platform
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..analysis.sweep import SweepResult
-from .store import Codec, ContentStore, default_cache_root
+from .store import Codec, ContentStore, default_cache_root, numeric_stack
 
 #: Bumped when the on-disk entry layout changes; part of every cache key.
 SCHEMA_VERSION = 1
@@ -89,16 +89,9 @@ class CacheEntry:
 
 def run_provenance() -> dict[str, object]:
     """Environment metadata recorded next to every cached result."""
-    import numpy
-
     from .. import __version__
 
-    return {
-        "created_unix": round(time.time(), 3),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "repro": __version__,
-    }
+    return {"created_unix": round(time.time(), 3), **numeric_stack(), "repro": __version__}
 
 
 def _row_count(entry: CacheEntry | None) -> dict[str, object]:

@@ -27,6 +27,7 @@ This replaces the per-driver ``if __name__ == "__main__"`` entry points;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shutil
 import sys
@@ -37,6 +38,7 @@ from ..analysis.reporting import format_table, to_csv
 from .artifacts import ArtifactStore
 from .cache import ResultCache
 from .errors import ExecutionError, ParamError, ReproError, UnknownExperimentError
+from .fingerprint import IMPORTS_FILENAME
 from .registry import ExperimentSpec
 from .service import ExperimentRunner, RunReport
 from .store import StoreStats, default_cache_root, load_stats, reset_stats
@@ -539,11 +541,14 @@ def _command_cache(args: argparse.Namespace) -> int:
     if args.experiment is None:
         # A full clear also empties the artifact store (artifacts are shared
         # across experiments, so a per-experiment clear keeps them), drops
-        # both quarantine sidecars and resets the hit/miss counters.
+        # both quarantine sidecars and the import memo, and resets the
+        # hit/miss counters.
         removed_artifacts = store.clear()
         for root in (cache.root, store.root):
             shutil.rmtree(root / "corrupt", ignore_errors=True)
         reset_stats(cache.root)
+        with contextlib.suppress(OSError):
+            (cache.root / IMPORTS_FILENAME).unlink(missing_ok=True)
     print(
         f"removed {removed} cached result(s) and {removed_artifacts} artifact(s) from {cache.root}"
     )

@@ -38,7 +38,7 @@ from .backends import MemoryBackend, claim_is_owned, wait_for_fill
 from .cache import CacheEntry, ResultCache, cache_key, run_provenance
 from .errors import UnknownExperimentError
 from .executor import ExecutionOutcome, ExecutionPolicy, execute_requests, produce_artifacts
-from .fingerprint import code_fingerprint
+from .fingerprint import code_fingerprint, load_import_memo, save_import_memo
 from .registry import ExperimentSpec, build_registry
 from .store import StoreStats, record_stats
 from ..analysis.sweep import SweepResult, sanitize_value
@@ -165,6 +165,15 @@ class ExperimentRunner:
             # keep the artifact store ephemeral too.
             self.artifacts = ArtifactStore(backend=MemoryBackend())
         self.use_artifacts = use_cache if use_artifacts is None else use_artifacts
+        if self.cache.root is not None:
+            # Fingerprints of unchanged modules replay their import lists
+            # from the sidecar instead of re-parsing the closure.
+            load_import_memo(self.cache.root)
+
+    def _save_import_memo(self) -> None:
+        """Persist what planning parsed (a no-op when nothing was)."""
+        if (self.use_cache or self.use_artifacts) and self.cache.root is not None:
+            save_import_memo(self.cache.root)
 
     def _store_url(self) -> str | None:
         """The networked-store URL workers should tier onto, if any.
@@ -475,6 +484,7 @@ class ExperimentRunner:
             result_hits=sum(1 for report in prepared if report is not None),
             result_misses=len(cold) + len(duplicates),
         ) if self.use_cache else StoreStats()
+        self._save_import_memo()
         if observer is not None:
             observer(
                 {
@@ -507,6 +517,7 @@ class ExperimentRunner:
                         units = self._plan_artifacts(
                             [(name, config) for _index, name, config, _key in owned]
                         )
+                        self._save_import_memo()
                         stats = stats.add(
                             self._ensure_artifacts(
                                 units, jobs=jobs, observer=observer, policy=policy, outcome=outcome

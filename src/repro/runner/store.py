@@ -18,7 +18,9 @@ networked on request).  The store owns every semantic above the bytes:
   a broken document shape: whatever the decoder raises) is corrupt.  It is
   quarantined into the ``corrupt/`` sidecar for forensics and the read is a
   miss, so the entry is recomputed.  A blob that simply vanished (raced
-  ``unlink``) is a plain miss;
+  ``unlink``) is a plain miss, and so is an entry whose provenance records
+  another Python or numpy major.minor (*stale*: computed by another numeric
+  stack, so it is recomputed and overwritten under the same key);
 * **writes** -- atomic (temp file + ``os.replace`` on disk), with the
   ``<site>.write`` / ``<site>.written`` fault sites around them;
 * **fill claims** -- first-writer-wins (``<site>.claim``): of N processes
@@ -34,7 +36,8 @@ networked on request).  The store owns every semantic above the bytes:
   appends the deltas to the ``_stats.jsonl`` log under the cache root.
 
 This module imports only the standard library, :mod:`repro.faults` and
-the stdlib-only :mod:`~repro.runner.backends`: it sits in the drivers'
+the stdlib-only :mod:`~repro.runner.backends` (numpy is imported lazily, for
+its version only): it sits in the drivers'
 fingerprint closure (through the artifact store) without dragging the
 runner package in.
 """
@@ -44,6 +47,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import platform
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -91,7 +95,8 @@ class StoreStats:
 
     #: Counters each store keeps under its own ``result_``/``artifact_`` prefix.
     PER_STORE: ClassVar[tuple[str, ...]] = (
-        "hits", "misses", "corrupt", "claims", "claim_waits", "evictions", "evicted_bytes",
+        "hits", "misses", "corrupt", "stale", "claims", "claim_waits", "evictions",
+        "evicted_bytes",
     )
     #: Every counter, in declaration order (set below the class).
     FIELDS: ClassVar[tuple[str, ...]]
@@ -103,6 +108,9 @@ class StoreStats:
     #: Corrupt entries detected (and treated as misses) per store.
     result_corrupt: int = 0
     artifact_corrupt: int = 0
+    #: Entries recorded by another Python/numpy major.minor (read as misses).
+    result_stale: int = 0
+    artifact_stale: int = 0
     #: Corrupt entries successfully moved into a ``corrupt/`` sidecar dir.
     quarantined: int = 0
     #: Execution units re-attempted after a crash or timeout.
@@ -221,6 +229,37 @@ def reset_stats(root: Path | str) -> None:
             pass
 
 
+# -- numeric stack --------------------------------------------------------------------
+
+
+def numeric_stack() -> dict[str, str]:
+    """The Python and numpy versions this process computes with.
+
+    Every entry records them in its provenance; :func:`_same_numeric_stack`
+    checks them on read.
+    """
+    import numpy
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def _major_minor(version: str) -> list[str]:
+    return version.split(".")[:2]
+
+
+def _same_numeric_stack(provenance: Mapping[str, object]) -> bool:
+    """``False`` when ``provenance`` records another Python or numpy major.minor.
+
+    Versions an entry does not record are not held against it.  Keys stay
+    as they are, so a stale entry is simply recomputed and overwritten.
+    """
+    for name, running in numeric_stack().items():
+        recorded = provenance.get(name)
+        if isinstance(recorded, str) and _major_minor(recorded) != _major_minor(running):
+            return False
+    return True
+
+
 # -- the store ------------------------------------------------------------------------
 
 
@@ -325,20 +364,27 @@ class ContentStore:
         Whatever the codec raises on a readable blob counts as corruption:
         the entry is quarantined, so it stops being re-read on every probe
         and stays inspectable, and the caller sees a miss and recomputes.
-        Reads refresh the entry's LRU stamp.
+        An entry computed by another numeric stack is a miss too, but it is
+        left in place for the recompute to overwrite.  Reads refresh the
+        entry's LRU stamp.
         """
         namespace, filename = self._address(namespace, key)
         blob = self.backend.get(namespace, filename)
         if blob is None:  # missing or unreadable: a plain miss, not corruption
             return None
         try:
-            return self.codec.decode(blob)
+            entry = self.codec.decode(blob)
         except Exception:
             logger.debug("quarantining undecodable %s/%s", namespace, filename, exc_info=True)
             self._count("corrupt")
             if self.backend.quarantine(namespace, filename):
                 self._count("quarantined")
             return None
+        if not _same_numeric_stack(entry.provenance):
+            logger.debug("%s/%s was computed by another numeric stack", namespace, filename)
+            self._count("stale")
+            return None
+        return entry
 
     def exists(self, namespace: str, key: str) -> bool:
         """Cheap presence probe (no decoding, no LRU touch)."""

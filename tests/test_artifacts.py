@@ -545,6 +545,7 @@ class TestCliStats:
         "hits": 0,
         "misses": 0,
         "corrupt": 0,
+        "stale": 0,
         "claims": 0,
         "claim_waits": 0,
         "evictions": 0,

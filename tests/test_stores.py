@@ -19,6 +19,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import platform
 import sys
 import threading
 import time
@@ -38,11 +39,11 @@ from repro.runner.backends import (
     evict_lru,
     wait_for_fill,
 )
-from repro.runner.cache import CacheEntry, ResultCache, cache_key
+from repro.runner.cache import CacheEntry, ResultCache, cache_key, run_provenance
 from repro.runner.cli import main
 from repro.runner.registry import ExperimentSpec
 from repro.runner.service import ExperimentRunner
-from repro.runner.store import StoreStats, load_stats, record_stats, reset_stats
+from repro.runner.store import StoreStats, load_stats, numeric_stack, record_stats, reset_stats
 
 
 def _backend(kind, tmp_path):
@@ -385,6 +386,72 @@ class TestQuarantineProperty:
             assert loaded is None
             assert drained["corrupt"] == drained["quarantined"] == 1
             assert (store.root / "corrupt" / "unit" / filename).read_bytes() == bytes(blob)
+
+
+# -- numeric stack: entries of another Python/numpy are misses -------------------------
+
+
+def _run_under(monkeypatch, *, python=None, numpy_version=None):
+    """Make this process report another Python and/or numpy version."""
+    if python is not None:
+        monkeypatch.setattr(platform, "python_version", lambda: python)
+    if numpy_version is not None:
+        monkeypatch.setattr(np, "__version__", numpy_version)
+
+
+def _bumped_minor(version):
+    major, minor = version.split(".")[:2]
+    return f"{major}.{int(minor) + 1}.0"
+
+
+class TestNumericStack:
+    def test_entries_record_the_stack(self):
+        assert numeric_stack() == {"python": platform.python_version(), "numpy": np.__version__}
+        assert run_provenance().items() >= numeric_stack().items()
+
+    @pytest.mark.parametrize("changed", ["python", "numpy"])
+    def test_other_major_minor_is_a_miss_not_corruption(self, kind, open_store, monkeypatch, changed):
+        store = open_store()
+        entry = _entry(kind)
+        entry.provenance.update(numeric_stack())
+        store.put(KEY, entry)
+        assert store.get("unit", KEY) is not None  # same stack: a hit
+        with monkeypatch.context() as patched:
+            # A patch release of the same major.minor still hits.
+            _run_under(
+                patched,
+                python=entry.provenance["python"].rpartition(".")[0] + ".99",
+                numpy_version=entry.provenance["numpy"].rpartition(".")[0] + ".99",
+            )
+            assert store.get("unit", KEY) is not None
+        with monkeypatch.context() as patched:
+            if changed == "python":
+                _run_under(patched, python=_bumped_minor(platform.python_version()))
+            else:
+                _run_under(patched, numpy_version=_bumped_minor(np.__version__))
+            assert store.get("unit", KEY) is None
+            assert store.exists("unit", KEY)  # left in place for the recompute, not quarantined
+        drained = store.drain_stats()
+        assert drained[f"{store.codec.kind}_stale"] == 1
+        assert drained["corrupt"] == drained["quarantined"] == 0
+        assert store.get("unit", KEY) is not None  # the original stack hits again
+
+    def test_unrecorded_versions_are_not_held_against_an_entry(self, kind, open_store, monkeypatch):
+        store = open_store()
+        store.put(KEY, _entry(kind))  # provenance records no versions
+        _run_under(monkeypatch, python="2.7.18", numpy_version="1.0.0")
+        assert store.get("unit", KEY) is not None
+
+    def test_runner_recomputes_a_stale_entry_under_the_same_key(self, tmp_path, monkeypatch):
+        runner = _toy_runner(tmp_path, monkeypatch)
+        (cold,) = runner.run_many([("toy", {"x": 3})])
+        _run_under(monkeypatch, numpy_version=_bumped_minor(np.__version__))
+        (stale,) = runner.run_many([("toy", {"x": 3})])
+        assert stale.cached is False and stale.key == cold.key  # no key changes
+        assert json.dumps(stale.rows) == json.dumps(cold.rows)
+        (warm,) = runner.run_many([("toy", {"x": 3})])  # the recompute overwrote it
+        assert warm.cached is True and warm.key == cold.key
+        assert load_stats(runner.cache.root).result_stale == 1
 
 
 # -- retry backoff ------------------------------------------------------------------

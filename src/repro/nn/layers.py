@@ -316,11 +316,22 @@ class MaxPool2D(Layer):
         if inputs.ndim != 4:
             raise ValueError(f"{self.name}: expected a (n, C, H, W) batch")
         self.statistics.observe(inputs)
-        count, channels, height, width = inputs.shape
-        out_h, out_w = height // self.size, width // self.size
-        trimmed = inputs[:, :, : out_h * self.size, : out_w * self.size]
-        reshaped = trimmed.reshape(count, channels, out_h, self.size, out_w, self.size)
-        return reshaped.max(axis=(3, 5))
+        size = self.size
+        out_h, out_w = inputs.shape[2] // size, inputs.shape[3] // size
+        # Running maximum of the size x size strided offset views, in
+        # row-major window order with the accumulator first: the same bytes
+        # as reducing a reshaped (..., size, ..., size) view, without its
+        # slow strided 6-D reduction.  A -0.0/0.0 tie resolves as in that
+        # reduction for the 2 x 2 windows the models use; for other sizes
+        # numpy's reduction order, and so the sign of a tied zero, can
+        # depend on the shape.
+        pooled = inputs[:, :, : out_h * size : size, : out_w * size : size].copy()
+        for row in range(size):
+            for col in range(size):
+                if row or col:
+                    window = inputs[:, :, row : out_h * size : size, col : out_w * size : size]
+                    np.maximum(pooled, window, out=pooled)
+        return pooled
 
 
 class Flatten(Layer):

@@ -29,9 +29,16 @@ Two evaluation strategies produce the same profile:
   matrices -- whose reads bound the search, not its row count -- are then
   streamed once per sweep instead of once per probe.
 
+Weight probes on fully-connected layers skip ``FullyConnected.forward_batch``:
+a row-blocked kernel quantises W one cache-resident block of output rows
+at a time and multiplies each block straight into its output columns, so
+no W-sized quantised copy is ever written (fc7 of the AlexNet stand-in is
+134 MB).  Convolution probes swap a quantised kernel into the layer.
+
 The lockstep contract is *identical argmax decisions*, not identical logit
-bits: regrouping rows changes the GEMM shapes, and BLAS results differ in
-the last bits between shapes (a 1-row batch runs as a GEMV, for example).
+bits: regrouping rows (or W's output rows, in the FC kernel) changes the
+GEMM shapes, and BLAS results differ in the last bits between shapes (a
+1-row batch runs as a GEMV, for example).
 Every scan decision depends only on each sample's top-1 class, so a row
 whose relative top-1/runner-up margin is below :data:`NEAR_TIE_MARGIN`
 sends its candidate to a standalone full-batch evaluation with the
@@ -46,9 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.metrics import classification_accuracy, top1_agreement
-from .layers import Layer
+from .layers import FullyConnected, Layer
 from .network import Network
-from .quantization import QuantizationConfig, quantize, quantize_per_sample
+from .quantization import QuantizationConfig, quantization_scale, quantize, quantize_per_sample
 
 #: Relative top-1/runner-up logit margin below which a lockstep probe row is
 #: a near tie: ``top - runner_up <= NEAR_TIE_MARGIN * max(|top|, |runner_up|)``.
@@ -56,6 +63,14 @@ from .quantization import QuantizationConfig, quantize, quantize_per_sample
 #: margin the AlexNet stand-in's search meets is ~4e-4), so a tie this close
 #: is the only way regrouping could flip an argmax.
 NEAR_TIE_MARGIN = 1e-9
+
+#: Bytes of W the FC weight-probe kernel quantises and multiplies per block:
+#: small enough that the block stays in a core's L2 between its quantisation
+#: passes and its GEMM.
+_FC_BLOCK_BYTES = 1 << 19
+
+#: Run length below which ``_mean_magnitude`` hands a run to numpy's own sum.
+_PAIRWISE_LEAF = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -73,11 +88,45 @@ _Answer = tuple[np.ndarray, np.ndarray]
 
 @dataclass
 class _WeightScratch:
-    """One layer's weight-quantisation buffer and the candidate it holds."""
+    """One layer's weight statistics and quantisation buffer during a search.
+
+    Conv layers quantise the whole kernel into ``buffer`` and remember the
+    candidate it holds (``bits``); FC layers quantise one row block at a
+    time into it.  ``mean_abs`` is the 1-bit candidate's scale, computed
+    on first use.
+    """
 
     max_abs: float
     buffer: np.ndarray
     bits: int | None = None
+    mean_abs: float | None = None
+
+
+def _fc_block_rows(layer: FullyConnected) -> int:
+    """Output rows of W per block of the FC weight-probe kernel."""
+    return max(1, min(_FC_BLOCK_BYTES // (8 * layer.in_features), layer.out_features))
+
+
+def _mean_magnitude(tensor: np.ndarray) -> float:
+    """``float(np.mean(np.abs(tensor)))`` bit for bit, without a ``|tensor|`` copy.
+
+    numpy sums a contiguous float64 run pairwise: a run of ``n > 128``
+    elements splits at ``h = n // 2 - (n // 2) % 8`` and the two halves'
+    sums are added.  Following the same splits down to cache-sized runs
+    and summing those with numpy itself reproduces that sum exactly.
+    """
+    if not tensor.flags.c_contiguous:
+        return float(np.mean(np.abs(tensor)))
+    flat = tensor.reshape(-1)
+
+    def pairwise(start: int, count: int) -> np.float64:
+        if count <= _PAIRWISE_LEAF:
+            return np.add.reduce(np.abs(flat[start : start + count]))
+        half = count // 2
+        half -= half % 8
+        return pairwise(start, half) + pairwise(start + half, count - half)
+
+    return float(pairwise(0, flat.size) / flat.size)
 
 
 def _stack(batches: list[np.ndarray]) -> np.ndarray:
@@ -249,23 +298,31 @@ class PrecisionSearch:
         """
         return self._score(self._suffix_logits(layer_name, config))
 
-    def _quantized_weights(self, layer: Layer, bits: int) -> np.ndarray:
-        """``quantize(layer.weights, bits)``, computed once per candidate.
-
-        A weight scan's candidate is probed in up to two sweeps (suspect
-        rows, then the rest); the layer's scratch buffer keeps the last
-        candidate, so the second stage reuses it.  ``max(|W|)`` is reduced
-        once per layer, and all candidates share one buffer instead of
-        faulting in a fresh fc-layer-sized array each.
-        """
+    def _scratch(self, layer: Layer) -> _WeightScratch:
+        """The layer's scratch, created on first use with ``max(|W|)`` reduced once."""
         scratch = self._weight_scratch.get(layer.name)
         if scratch is None:
             weights = np.asarray(layer.weights, dtype=np.float64)
             # Same value quantization_scale computes: max(|W|) via the two
             # reductions, no |W|-sized temporary.
             max_abs = max(float(np.max(weights)), -float(np.min(weights))) if weights.size else 0.0
-            scratch = _WeightScratch(max_abs=max_abs, buffer=np.empty_like(weights))
+            if type(layer) is FullyConnected:
+                buffer = np.empty((_fc_block_rows(layer), layer.in_features))
+            else:
+                buffer = np.empty_like(weights)
+            scratch = _WeightScratch(max_abs=max_abs, buffer=buffer)
             self._weight_scratch[layer.name] = scratch
+        return scratch
+
+    def _quantized_weights(self, layer: Layer, bits: int) -> np.ndarray:
+        """``quantize(layer.weights, bits)``, computed once per candidate.
+
+        A weight scan's candidate is probed in up to two sweeps (suspect
+        rows, then the rest); the layer's scratch buffer keeps the last
+        candidate, so the second stage reuses it.  All candidates share one
+        buffer instead of faulting in a fresh kernel-sized array each.
+        """
+        scratch = self._scratch(layer)
         if scratch.bits != bits:
             # The 1-bit binary path scales by the mean magnitude and ignores
             # the max(|W|) hint.
@@ -286,6 +343,41 @@ class PrecisionSearch:
             return layer.forward_batch(rows, None)
         finally:
             layer.weights = original
+
+    def _fc_weight_probe(self, layer: FullyConnected, rows: np.ndarray, bits: int) -> np.ndarray:
+        """``layer.forward_batch(rows, QuantizationConfig(weight_bits=bits))``, row-blocked.
+
+        W is quantised one block of output rows at a time into the layer's
+        cache-resident scratch block, and each block is multiplied straight
+        into its output columns.  Every block equals the matching rows of
+        ``quantize(W, bits)`` element for element -- the scale comes from the
+        cached ``max(|W|)``, or for the 1-bit candidate from the layer's mean
+        magnitude -- so only the GEMM grouping differs from the full-matrix
+        call, which the lockstep contract covers.
+        """
+        scratch = self._scratch(layer)
+        weights = layer.weights
+        layer.statistics.observe(rows)
+        if bits == 1:
+            if scratch.mean_abs is None:
+                scratch.mean_abs = _mean_magnitude(np.asarray(weights, dtype=np.float64))
+            magnitude = scratch.mean_abs
+        else:
+            scale = quantization_scale(weights, bits, max_abs=scratch.max_abs)
+        outputs = np.empty((rows.shape[0], weights.shape[0]))
+        step = scratch.buffer.shape[0]
+        for start in range(0, weights.shape[0], step):
+            block = weights[start : start + step]
+            quantized = scratch.buffer[: block.shape[0]]
+            if bits == 1:
+                # quantize's binary path: np.where(block >= 0, s, -s).
+                np.copyto(quantized, -magnitude)
+                np.copyto(quantized, magnitude, where=block >= 0.0)
+            else:
+                quantize(block, bits, scale=scale, max_abs=scratch.max_abs, out=quantized)
+            np.matmul(rows, quantized.T, out=outputs[:, start : start + step])
+        outputs += layer.bias
+        return outputs
 
     #: Samples evaluated by the leading certification probe of a scan's first
     #: candidate (later candidates re-probe the samples that disagreed at
@@ -355,7 +447,8 @@ class PrecisionSearch:
         layer, the probes entering there join it: activation probes with
         their rows pre-quantised (per sample, as the layer itself would),
         so they share the layer's unquantised GEMM with the carried rows;
-        weight probes through one extra call with their quantised weights.
+        weight probes through one extra call with their quantised weights
+        (the row-blocked kernel on FC layers).
         Every layer below the first entry therefore runs once on the
         unquantised weights (plus once for a weight probe entering there).
         """
@@ -381,10 +474,12 @@ class PrecisionSearch:
             outputs = []
             if shared:
                 outputs.append(layer.forward_batch(_stack(shared), None))
+            if type(layer) is FullyConnected:
+                weight_probe = self._fc_weight_probe
+            else:
+                weight_probe = self._forward_quantized_weights
             for number, rows in weight_probes:
-                outputs.append(
-                    self._forward_quantized_weights(layer, rows, probes[number].config.weight_bits)
-                )
+                outputs.append(weight_probe(layer, rows, probes[number].config.weight_bits))
                 owners.append(number)
             carried = _stack(outputs)
         predictions = np.argmax(carried, axis=1)

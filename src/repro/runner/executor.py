@@ -34,6 +34,13 @@ All three run through one fault-tolerant engine governed by an
   budget spent, or the pool cannot even be created) the remaining units
   run serially in-process rather than abandoning the batch.
 
+Every pool worker also gets a BLAS thread budget: a forked worker inherits
+numpy's OpenBLAS already initialised with one thread per core, so ``N``
+workers would otherwise run ``N x cores`` BLAS threads on ``cores`` cores.
+The pool initializer caps each worker at ``max(1, cpus // workers)``
+threads (never above the parent's own count) through the OpenBLAS symbols
+the process has mapped; the parent and every in-process path keep theirs.
+
 Exhausted budgets surface as :class:`~repro.runner.errors.WorkerCrashError`
 (code ``worker_crashed``) or :class:`~repro.runner.errors.UnitTimeoutError`
 (code ``unit_timeout``) -- never as a raw ``BrokenProcessPool``.
@@ -43,6 +50,8 @@ Callables shipped to workers must be picklable, i.e. module-level.
 
 from __future__ import annotations
 
+import ctypes
+import logging
 import os
 import time
 from collections import deque
@@ -58,6 +67,8 @@ from .errors import UnitTimeoutError, WorkerCrashError
 
 if TYPE_CHECKING:
     from .store import StoreStats
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -104,6 +115,9 @@ class ExecutionOutcome:
     ``retries`` counts re-attempted units, ``crashes``/``timeouts`` the
     triggering failures, ``respawns`` replaced pools, and ``degraded`` is
     set when the engine fell back to serial in-process execution.
+    ``blas_unbudgeted`` counts pooled batches whose workers kept their
+    inherited BLAS thread count because no OpenBLAS thread control was
+    found (another BLAS, or a platform without ``/proc/self/maps``).
     """
 
     retries: int = 0
@@ -111,6 +125,14 @@ class ExecutionOutcome:
     timeouts: int = 0
     respawns: int = 0
     degraded: bool = False
+    blas_unbudgeted: int = 0
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def _worker_count(jobs: int, tasks: int, *, oversubscribe: bool = False) -> int:
@@ -125,11 +147,94 @@ def _worker_count(jobs: int, tasks: int, *, oversubscribe: bool = False) -> int:
     """
     if oversubscribe or os.environ.get("REPRO_EXECUTOR_OVERSUBSCRIBE"):
         return min(jobs, tasks)
+    return min(jobs, tasks, _available_cpus())
+
+
+#: OpenBLAS thread-count (setter, getter) symbols, tried in this order: the
+#: suffixed build numpy/scipy wheels bundle, a 64-bit-integer build, a
+#: classic build.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _blas_thread_control() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """``(set, get)`` of the mapped OpenBLAS's thread count, or ``None``.
+
+    Only a library the process has already mapped is considered (found in
+    ``/proc/self/maps``): loading one here would not be the BLAS numpy
+    uses.  ``OPENBLAS_NUM_THREADS`` is no alternative for forked workers --
+    the library read it when the parent initialised it.
+    """
     try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or jobs
-    return min(jobs, tasks, max(1, cpus))
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    # Each mapped segment is one line ending in the library's path.
+    paths = dict.fromkeys(
+        entry[5].strip() for entry in fields if len(entry) == 6 and "openblas" in entry[5].lower()
+    )
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter_name, getter_name in _BLAS_THREAD_SYMBOLS:
+            if hasattr(library, setter_name) and hasattr(library, getter_name):
+                setter, getter = getattr(library, setter_name), getattr(library, getter_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+def blas_threads() -> int | None:
+    """This process's OpenBLAS thread count (``None`` = no control found)."""
+    control = _blas_thread_control()
+    return None if control is None else control[1]()
+
+
+def _budget_worker_blas(threads: int) -> None:
+    """Pool-worker initializer: cap this worker's BLAS threads.
+
+    Never raises -- an initializer exception would break the pool and
+    surface as ``worker_crashed``; a worker without the budget is only
+    slower.
+    """
+    try:
+        control = _blas_thread_control()
+        if control is not None:
+            control[0](threads)
+    except Exception:
+        logger.warning("could not set this worker's BLAS thread count", exc_info=True)
+
+
+#: Whether this process has already logged a missing BLAS thread control.
+_blas_miss_logged = False
+
+
+def _worker_blas_budget(workers: int, outcome: ExecutionOutcome) -> int | None:
+    """Threads each of ``workers`` pool workers may use (``None`` = no control).
+
+    A miss is counted in ``outcome`` for every pooled batch and logged once
+    per process.
+    """
+    global _blas_miss_logged
+    control = _blas_thread_control()
+    if control is None:
+        outcome.blas_unbudgeted += 1
+        if not _blas_miss_logged:
+            _blas_miss_logged = True
+            logger.warning(
+                "no OpenBLAS thread control found; %d pool workers keep the "
+                "inherited BLAS thread count and may oversubscribe the cores",
+                workers,
+            )
+        return None
+    return max(1, min(_available_cpus() // workers, control[1]()))
 
 
 def _teardown_pool(pool: ProcessPoolExecutor) -> None:
@@ -269,12 +374,17 @@ class _ResilientRun:
         return max(0.0, min(deadlines) - now)
 
     def run(self) -> list:
+        worker_threads = _worker_blas_budget(self.workers, self.outcome)
         try:
             while self.queue or self.in_flight:
                 if self.pool is None:
                     try:
                         fault_point("executor.pool", key=self.label)
-                        self.pool = ProcessPoolExecutor(max_workers=self.workers)
+                        self.pool = ProcessPoolExecutor(
+                            max_workers=self.workers,
+                            initializer=None if worker_threads is None else _budget_worker_blas,
+                            initargs=(worker_threads,),
+                        )
                     except Exception:
                         # The environment cannot even spawn workers (fd/PID
                         # exhaustion, injected spawn fault): degrade rather

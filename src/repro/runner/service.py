@@ -614,6 +614,7 @@ class ExperimentRunner:
                     "crashes": outcome.crashes,
                     "timeouts": outcome.timeouts,
                     "degraded": outcome.degraded,
+                    "blas_unbudgeted": outcome.blas_unbudgeted,
                 }
             )
         return [report for report in prepared if report is not None]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.nn import (
     Conv2D,
@@ -90,6 +91,31 @@ class TestLayers:
         pooled = pool.forward(inputs)
         assert pooled.shape == (1, 2, 2)
         assert pooled[0, 0, 0] == 5.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.integers(1, 4),
+        shape=st.tuples(
+            st.integers(1, 3), st.integers(1, 5), st.integers(0, 11), st.integers(0, 11)
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pool_batch_matches_reshape_max(self, size, shape, seed):
+        # Oracle: the reshape-and-reduce pooling the running maximum replaced.
+        # Odd heights/widths leave a trimmed remainder.  Which of two tied
+        # -0.0/0.0 entries a reduction returns follows numpy's traversal
+        # order; for the size-2 windows every model uses it is the running
+        # maximum's order on every shape, so signed zeros are checked there.
+        rng = np.random.default_rng(seed)
+        values = [np.nan, 0.0, -1.5, 2.0, 7.25] + ([-0.0] if size == 2 else [])
+        inputs = rng.choice(np.array(values), size=shape)
+        count, channels, height, width = shape
+        out_h, out_w = height // size, width // size
+        trimmed = inputs[:, :, : out_h * size, : out_w * size]
+        expected = trimmed.reshape(count, channels, out_h, size, out_w, size).max(axis=(3, 5))
+        pooled = MaxPool2D(size).forward_batch(inputs)
+        assert pooled.shape == expected.shape
+        assert pooled.tobytes() == expected.tobytes()
 
     def test_fully_connected(self):
         fc = FullyConnected(3, 2)

@@ -10,6 +10,8 @@ standalone evaluation with the reference's exact shapes.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,53 +108,113 @@ class TestSweeps:
         expected = PrecisionSearch(network, samples, candidate_bits=candidates).profile()
         search = PrecisionSearch(network, samples, candidate_bits=candidates)
         originals = {layer.name: layer.weights for layer in network.weighted_layers()}
+        fc_names = {
+            layer.name for layer in network.weighted_layers() if isinstance(layer, FullyConnected)
+        }
         calls: dict[tuple[int, str, bool], int] = {}
+        fc_weight_probes = 0
+
+        def count(name: str, quantized: bool) -> None:
+            key = (search.sweeps, name, quantized)
+            calls[key] = calls.get(key, 0) + 1
 
         def counting(cls):
             forward = cls.forward_batch
 
             def wrapped(layer, inputs, config=None):
-                quantized = layer.weights is not originals[layer.name]
-                key = (search.sweeps, layer.name, quantized)
-                calls[key] = calls.get(key, 0) + 1
+                count(layer.name, layer.weights is not originals[layer.name])
                 return forward(layer, inputs, config)
 
             monkeypatch.setattr(cls, "forward_batch", wrapped)
 
         counting(Conv2D)
         counting(FullyConnected)
+        kernel = PrecisionSearch._fc_weight_probe
+        sweep = PrecisionSearch._sweep
+
+        def counting_kernel(self, layer, rows, bits):
+            count(layer.name, True)
+            return kernel(self, layer, rows, bits)
+
+        def counting_sweep(self, probes):
+            nonlocal fc_weight_probes
+            fc_weight_probes += sum(
+                probe.layer in fc_names and probe.config.weight_bits is not None for probe in probes
+            )
+            return sweep(self, probes)
+
+        monkeypatch.setattr(PrecisionSearch, "_fc_weight_probe", counting_kernel)
+        monkeypatch.setattr(PrecisionSearch, "_sweep", counting_sweep)
         assert search.profile(incremental=True) == expected
         assert search.sweeps >= 2
         assert search.near_tie_fallbacks == 0
         # One unquantised call per weighted layer per sweep (sweep 0 is the
         # baseline prefix capture), plus at most one with a weight probe's
-        # quantised weights.
+        # quantised weights: a forward_batch call on conv layers, a
+        # row-blocked kernel call on FC layers (whose forward_batch never
+        # sees quantised weights).
         assert set(calls.values()) == {1}
         # Sweep 1 carries all 2 x 4 first-candidate probes, yet every layer
         # reads its unquantised weights once.
         for name in originals:
             assert calls[(1, name, False)] == 1
             assert calls[(1, name, True)] == 1
+        # Exactly one kernel call per FC weight probe.
+        kernel_calls = sum(n for (_, name, quantized), n in calls.items() if quantized and name in fc_names)
+        assert kernel_calls == fc_weight_probes
         for layer in network.weighted_layers():
             assert layer.weights is originals[layer.name]
 
     def test_quantized_weights_once_per_candidate(self, monkeypatch):
-        network = _conv_fc_network(21)
-        samples = np.random.default_rng(22).uniform(-1.0, 1.0, size=(12, *network.input_shape))
-        search = PrecisionSearch(network, samples)
-        originals = {id(layer.weights) for layer in network.weighted_layers()}
+        # Conv kernels are quantised whole, once per candidate; FC matrices
+        # in row blocks by the kernel, each block once per kernel call and
+        # never the whole matrix.
         quantized: list[tuple[int, int | None]] = []
+        blocks: list[tuple[str, int, int]] = []
+        kernel_calls: list[tuple[str, int]] = []
+        layers: dict[int, object] = {}
         real_quantize = precision_search.quantize
+        kernel = PrecisionSearch._fc_weight_probe
 
         def spy(tensor, bits, **kwargs):
-            if id(tensor) in originals:
+            if id(tensor) in layers:
+                assert not isinstance(layers[id(tensor)], FullyConnected)
                 quantized.append((id(tensor), bits))
+            elif id(tensor.base) in layers:
+                fc = layers[id(tensor.base)]
+                offset = tensor.__array_interface__["data"][0] - fc.weights.__array_interface__["data"][0]
+                blocks.append((fc.name, bits, offset // fc.weights.strides[0]))
             return real_quantize(tensor, bits, **kwargs)
 
+        def counting_kernel(self, layer, rows, bits):
+            kernel_calls.append((layer.name, bits))
+            return kernel(self, layer, rows, bits)
+
         monkeypatch.setattr(precision_search, "quantize", spy)
-        search.profile(incremental=True)
-        assert quantized
-        assert len(quantized) == len(set(quantized))
+        monkeypatch.setattr(PrecisionSearch, "_fc_weight_probe", counting_kernel)
+        # fc1 (16 -> 12) runs as blocks of 5 rows: 0, 5, 10.
+        monkeypatch.setattr(precision_search, "_FC_BLOCK_BYTES", 8 * 16 * 5)
+        # Seed 21 settles every scan at 1 bit; seed 25 probes up to 7 bits.
+        for seed in (21, 25):
+            for record in (quantized, blocks, kernel_calls):
+                record.clear()
+            network = _conv_fc_network(seed)
+            samples = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=(12, *network.input_shape))
+            layers.clear()
+            layers.update({id(layer.weights): layer for layer in network.weighted_layers()})
+            PrecisionSearch(network, samples).profile(incremental=True)
+            assert quantized
+            assert len(quantized) == len(set(quantized))
+            assert {name for name, _bits in kernel_calls} == {"fc1", "fc2"}
+            expected = []
+            for name, bits in kernel_calls:
+                if bits == 1:  # the binary candidate's blocks never call quantize
+                    continue
+                fc = next(layer for layer in network.weighted_layers() if layer.name == name)
+                step = precision_search._fc_block_rows(fc)
+                expected += [(name, bits, start) for start in range(0, fc.out_features, step)]
+            assert blocks == expected
+        assert {start for name, _bits, start in blocks if name == "fc1"} == {0, 5, 10}
 
 
 class TestNearTieFallback:
@@ -199,3 +261,71 @@ class TestNearTieFallback:
             ]
         )
         assert precision_search._near_ties(logits).tolist() == [True, False, True, True, False]
+
+
+class TestFcWeightProbeKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        rows=st.integers(1, 60),
+        bits=st.integers(1, 16),
+        in_features=st.integers(1, 24),
+        block_rows=st.integers(1, 8),
+        blocks=st.integers(1, 4),
+        remainder=st.integers(0, 7),
+    )
+    def test_matches_full_matrix_quantisation(
+        self, seed, rows, bits, in_features, block_rows, blocks, remainder
+    ):
+        out_features = block_rows * blocks + remainder % block_rows
+        rng = np.random.default_rng(seed)
+        layer = FullyConnected(in_features, out_features, name="fc", rng=rng)
+        # Signed zeros: the binary candidate maps both to +s.
+        layer.weights[rng.random(layer.weights.shape) < 0.1] = 0.0
+        layer.weights[rng.random(layer.weights.shape) < 0.1] = -0.0
+        inputs = rng.normal(size=(rows, in_features))
+        quantized = precision_search.quantize(layer.weights, bits)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(precision_search, "_FC_BLOCK_BYTES", 8 * in_features * block_rows)
+            search = PrecisionSearch(Network([layer], (in_features,)), inputs)
+            # One-hot rows with a zero bias read the quantised blocks back
+            # exactly.
+            identity = search._fc_weight_probe(layer, np.eye(in_features), bits)
+            layer.bias = rng.normal(size=out_features)
+            outputs = search._fc_weight_probe(layer, inputs, bits)
+        assert np.array_equal(identity, quantized.T)
+        assert np.allclose(outputs, inputs @ quantized.T + layer.bias, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("leaf", [128, 1000, 1 << 15])
+    def test_mean_magnitude_is_numpys_mean(self, monkeypatch, leaf):
+        monkeypatch.setattr(precision_search, "_PAIRWISE_LEAF", leaf)
+        rng = np.random.default_rng(leaf)
+        for shape in [(1, 1), (3, 7), (129,), (50, 12), (257, 3), (500, 401), (1024, 1030)]:
+            weights = rng.normal(0.0, 0.05, size=shape)
+            assert precision_search._mean_magnitude(weights) == float(np.mean(np.abs(weights)))
+
+    def test_lockstep_search_never_allocates_a_weight_sized_array(self):
+        rng = np.random.default_rng(51)
+        wide = 1024
+        network = Network(
+            [
+                FullyConnected(32, wide, name="fc1", rng=rng),
+                ReLU(name="r1"),
+                FullyConnected(wide, wide, name="fc2", rng=rng),
+                ReLU(name="r2"),
+                FullyConnected(wide, 6, name="fc3", rng=rng),
+            ],
+            (32,),
+        )
+        samples = rng.uniform(-1.0, 1.0, size=(10, 32))
+        search = PrecisionSearch(network, samples, candidate_bits=(1, 2, 3, 4, 6, 8, 16))
+        search._layer_prefix_inputs()
+        tracemalloc.start()
+        try:
+            profile = search.profile(incremental=True)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert search.near_tie_fallbacks == 0
+        assert profile == PrecisionSearch(network, samples, candidate_bits=search.candidate_bits).profile()
+        assert peak < network.layers[2].weights.nbytes // 2

@@ -39,58 +39,52 @@ Subpackages
     The stdlib-only HTTP/JSON service behind ``python -m repro serve``.
 """
 
-from . import analysis, arithmetic, circuit, core, envision, experiments, nn, runner, simd
-from . import api
-from .arithmetic import BoothWallaceMultiplier, MacUnit, SubwordParallelMultiplier
-from .circuit import TECH_28NM_FDSOI, TECH_40NM_LP_LVT, Technology
-from .core import (
-    DvafsSystem,
-    OperatingPoint,
-    PAPER_TABLE_I,
-    PrecisionScheduler,
-    ScalingParameters,
-    characterize_multiplier,
-    multiplier_energy_curves,
-)
-from .envision import EnvisionChip, EnvisionScheduler
-from .nn import Network, PrecisionSearch, alexnet, lenet5, vgg16
-from .simd import SimdPowerModel, SimdProcessor, convolution_kernel
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "analysis",
-    "api",
-    "arithmetic",
-    "circuit",
-    "core",
-    "envision",
-    "experiments",
-    "nn",
-    "runner",
-    "simd",
-    "BoothWallaceMultiplier",
-    "MacUnit",
-    "SubwordParallelMultiplier",
-    "TECH_28NM_FDSOI",
-    "TECH_40NM_LP_LVT",
-    "Technology",
-    "DvafsSystem",
-    "OperatingPoint",
-    "PAPER_TABLE_I",
-    "PrecisionScheduler",
-    "ScalingParameters",
-    "characterize_multiplier",
-    "multiplier_energy_curves",
-    "EnvisionChip",
-    "EnvisionScheduler",
-    "Network",
-    "PrecisionSearch",
-    "alexnet",
-    "lenet5",
-    "vgg16",
-    "SimdPowerModel",
-    "SimdProcessor",
-    "convolution_kernel",
-    "__version__",
-]
+#: Subpackages and modules, imported on first attribute access (PEP 562):
+#: ``import repro`` -- which every ``python -m repro`` launch runs -- loads
+#: neither numpy nor any model.
+_SUBMODULES = frozenset(
+    {"analysis", "api", "arithmetic", "circuit", "core", "envision", "experiments", "nn", "runner", "simd"}
+)
+
+#: Re-exported names -> the subpackage that defines them.
+_EXPORTS = {
+    "BoothWallaceMultiplier": "arithmetic",
+    "MacUnit": "arithmetic",
+    "SubwordParallelMultiplier": "arithmetic",
+    "TECH_28NM_FDSOI": "circuit",
+    "TECH_40NM_LP_LVT": "circuit",
+    "Technology": "circuit",
+    "DvafsSystem": "core",
+    "OperatingPoint": "core",
+    "PAPER_TABLE_I": "core",
+    "PrecisionScheduler": "core",
+    "ScalingParameters": "core",
+    "characterize_multiplier": "core",
+    "multiplier_energy_curves": "core",
+    "EnvisionChip": "envision",
+    "EnvisionScheduler": "envision",
+    "Network": "nn",
+    "PrecisionSearch": "nn",
+    "alexnet": "nn",
+    "lenet5": "nn",
+    "vgg16": "nn",
+    "SimdPowerModel": "simd",
+    "SimdProcessor": "simd",
+    "convolution_kernel": "simd",
+}
+
+__all__ = sorted(_SUBMODULES) + list(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

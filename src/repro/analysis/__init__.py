@@ -1,34 +1,41 @@
-"""Analysis utilities: metrics, parameter sweeps and result reporting."""
+"""Analysis utilities: metrics, parameter sweeps and result reporting.
 
-from .metrics import (
-    EfficiencyReport,
-    classification_accuracy,
-    relative_accuracy,
-    relative_rmse,
-    rmse,
-    snr_db,
-    top1_agreement,
-    tops_per_watt,
-)
-from .reporting import curve_to_rows, format_table, format_value, to_csv, to_json, write_csv
-from .sweep import SweepResult, parameter_sweep, sweep_grid
+Names resolve on first access (PEP 562), so the numpy-free reporting and
+sweep helpers the CLI uses never pull in :mod:`~repro.analysis.metrics`
+and numpy with it.
+"""
 
-__all__ = [
-    "EfficiencyReport",
-    "classification_accuracy",
-    "relative_accuracy",
-    "relative_rmse",
-    "rmse",
-    "snr_db",
-    "top1_agreement",
-    "tops_per_watt",
-    "curve_to_rows",
-    "format_table",
-    "format_value",
-    "to_csv",
-    "to_json",
-    "write_csv",
-    "SweepResult",
-    "parameter_sweep",
-    "sweep_grid",
-]
+import importlib
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "EfficiencyReport": "metrics",
+    "classification_accuracy": "metrics",
+    "relative_accuracy": "metrics",
+    "relative_rmse": "metrics",
+    "rmse": "metrics",
+    "snr_db": "metrics",
+    "top1_agreement": "metrics",
+    "tops_per_watt": "metrics",
+    "curve_to_rows": "reporting",
+    "format_table": "reporting",
+    "format_value": "reporting",
+    "to_csv": "reporting",
+    "to_json": "reporting",
+    "write_csv": "reporting",
+    "SweepResult": "sweep",
+    "parameter_sweep": "sweep",
+    "sweep_grid": "sweep",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in ("metrics", "reporting", "sweep"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,20 +21,27 @@ cacheable parameters are declared in each module's ``PARAMS`` mapping
 (name -> default) -- the schema consumed by :mod:`repro.runner.registry`;
 object-valued injection parameters are listed in ``OBJECT_PARAMS`` and
 bypass the cache.  ``python -m repro`` is the unified entry point.
+
+The runner never imports this package to *list* the experiments: it reads
+the declarations from the driver sources (see
+:data:`repro.runner.registry.DRIVERS`) and imports a driver only to run or
+render it.  Here the drivers, and :data:`EXPERIMENTS` with them, load on
+first access (PEP 562).
 """
 
-from . import fig2, fig3, fig4, fig6, fig8, table1, table2, table3
-
-#: Registry of all experiments, keyed by the paper artefact they regenerate.
-EXPERIMENTS = {
-    "table1": table1,
-    "fig2": fig2,
-    "fig3": fig3,
-    "fig4": fig4,
-    "table2": table2,
-    "fig6": fig6,
-    "fig8": fig8,
-    "table3": table3,
-}
+import importlib
 
 __all__ = ["EXPERIMENTS", "fig2", "fig3", "fig4", "fig6", "fig8", "table1", "table2", "table3"]
+
+
+def __getattr__(name: str):
+    from ..runner.registry import DRIVERS
+
+    if name == "EXPERIMENTS":
+        # Registry of all experiments, keyed by the paper artefact they regenerate.
+        value = {experiment: importlib.import_module(module) for experiment, module in DRIVERS.items()}
+        globals()[name] = value
+        return value
+    if f"{__name__}.{name}" in DRIVERS.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,6 +40,10 @@ workers would otherwise run ``N x cores`` BLAS threads on ``cores`` cores.
 The pool initializer caps each worker at ``max(1, cpus // workers)``
 threads (never above the parent's own count) through the OpenBLAS symbols
 the process has mapped; the parent and every in-process path keep theirs.
+A warm launch never imports numpy or a driver, so before a pool is created
+the parent imports the modules of the units it hands out (producers,
+drivers): workers fork with them -- and the BLAS the budget caps -- already
+loaded, instead of each importing them unbudgeted.
 
 Exhausted budgets surface as :class:`~repro.runner.errors.WorkerCrashError`
 (code ``worker_crashed``) or :class:`~repro.runner.errors.UnitTimeoutError`
@@ -432,6 +436,7 @@ def _run_resilient(
     outcome: ExecutionOutcome | None,
     label: str,
     serial_worker: Callable | None = None,
+    preload: Callable[[], object] | None = None,
 ) -> list:
     """Run ``worker`` over ``tasks`` under the fault-tolerance policy.
 
@@ -439,6 +444,8 @@ def _run_resilient(
     used on the in-process paths -- the ``jobs<=1`` fast path and the
     degraded tail -- and may close over unpicklable state (the injected
     registry); the pooled path always ships the module-level ``worker``.
+    ``preload`` (when given) imports what the units need; it runs in the
+    parent before the pool forks, so every worker inherits it.
     """
     policy = policy if policy is not None else DEFAULT_POLICY
     outcome = outcome if outcome is not None else ExecutionOutcome()
@@ -448,6 +455,8 @@ def _run_resilient(
         # Serial in-process execution: no worker to crash and no safe way
         # to preempt ourselves, so timeouts/retries do not apply here.
         return [inline(task) for task in tasks]
+    if preload is not None:
+        preload()
     run = _ResilientRun(
         tasks,
         worker,
@@ -557,8 +566,16 @@ def produce_artifacts(
     naturally skipped on retry (the store is content-addressed), so a
     recovered wave never recomputes finished work.
     """
+    from .artifacts import load_producer
+
     return _run_resilient(
-        tasks, _produce_artifact, jobs=jobs, policy=policy, outcome=outcome, label="artifact"
+        tasks,
+        _produce_artifact,
+        jobs=jobs,
+        policy=policy,
+        outcome=outcome,
+        label="artifact",
+        preload=lambda: [load_producer(task[1]) for task in tasks],
     )
 
 
@@ -609,6 +626,13 @@ def execute_requests(
     the canonical registry -- custom specs are not shipped across the
     process boundary.
     """
+    from .registry import build_registry
+
+    def import_drivers() -> None:
+        specs = registry if registry is not None else build_registry()
+        for name, _config in requests:
+            specs[name].module  # imports (and checks) the driver
+
     tasks = [(name, config, artifacts_root, store_url) for name, config in requests]
     return _run_resilient(
         tasks,
@@ -618,4 +642,5 @@ def execute_requests(
         outcome=outcome,
         label="experiment",
         serial_worker=lambda task: _execute_request(task, registry),
+        preload=import_drivers,
     )

@@ -19,6 +19,16 @@ and persisted in the ``_imports.json`` sidecar under a result-cache root
 a warm sidecar still reads and hashes every module of the closure, but
 parses none.  The sidecar is never part of a cache key: fingerprints hash
 module sources only, whichever way the closure was found.
+
+The same parse also records the module-level literals the registry reads
+instead of importing a driver (:data:`DECLARED_NAMES`, served by
+:func:`static_declarations`), so a warm launch lists every experiment's
+parameters without importing any of them.
+
+Nothing here imports the modules it fingerprints, nor their parent
+packages: a dotted name is resolved against the top-level package's
+``__path__`` (or, for a package not imported yet, the path finder's spec,
+which imports nothing) as ``a/b.py`` or ``a/b/__init__.py``.
 """
 
 from __future__ import annotations
@@ -27,10 +37,11 @@ import ast
 import contextlib
 import functools
 import hashlib
-import importlib.util
+import importlib.machinery
 import json
 import logging
 import os
+import sys
 import threading
 from pathlib import Path
 
@@ -40,18 +51,29 @@ logger = logging.getLogger(__name__)
 IMPORTS_FILENAME = "_imports.json"
 _MEMO_VERSION = 1
 
+#: Module-level names whose values :func:`static_declarations` reads from
+#: source: an experiment driver's parameter, object-parameter and artifact
+#: declarations (see :mod:`repro.runner.registry`).
+DECLARED_NAMES = ("PARAMS", "OBJECT_PARAMS", "ARTIFACTS")
+
 # CPython's ``ast.parse`` keeps its AST-to-object recursion depth in shared
 # interpreter state on some versions (3.11 raises ``SystemError: AST
 # constructor recursion depth mismatch`` under concurrent parses), so parsing
-# is serialised.  Cheap: parses happen only on a memo miss -- a module seen
-# for the first time, or edited since its candidates were recorded.
+# is serialised, and so is ``ast.literal_eval``, which parses too.  Cheap:
+# parses happen only on a memo miss -- a module seen for the first time, or
+# edited since its candidates were recorded.
 _PARSE_LOCK = threading.Lock()
 
-#: ``"<root>:<module>"`` -> ``(content key, raw import candidates)``, shared
-#: by every fingerprint in the process and seeded from loaded sidecars.
-_memo: dict[str, tuple[str, tuple[str, ...]]] = {}
+#: One memo entry: ``(content key, raw import candidates, declarations)``;
+#: declarations map each of :data:`DECLARED_NAMES` the module assigns at top
+#: level to the source text of the assigned expression.
+_Entry = tuple[str, tuple[str, ...], dict[str, str]]
+
+#: ``"<root>:<module>"`` -> its entry, shared by every fingerprint in the
+#: process and seeded from loaded sidecars.
+_memo: dict[str, _Entry] = {}
 #: Entries parsed by this process and not yet saved.
-_added: dict[str, tuple[str, tuple[str, ...]]] = {}
+_added: dict[str, _Entry] = {}
 #: Sidecars already loaded by this process.
 _loaded: set[Path] = set()
 _MEMO_LOCK = threading.Lock()
@@ -68,25 +90,63 @@ def _self_digest() -> str:
     return hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
 
 
+def _locate(module_name: str) -> tuple[Path | None, bool]:
+    """``(source file or None, is a package)`` of ``module_name``; imports nothing.
+
+    ``importlib.util.find_spec`` would import every parent package of a
+    dotted name, and with it whatever that package's ``__init__`` imports.
+    Instead the top-level package is taken from ``sys.modules`` (the root
+    package is imported before anything is fingerprinted) or, if it is not
+    imported, from the path finder's spec, and each further part is
+    ``<part>/__init__.py`` (a package) or ``<part>.py`` in the parent's
+    ``__path__`` -- the order the path finder tries source files in.
+    Anything else (namespace packages, extension or frozen modules) has no
+    source to hash.
+    """
+    head, *rest = module_name.split(".")
+    top = sys.modules.get(head)
+    if top is not None:
+        spec = getattr(top, "__spec__", None)
+        if spec is None:  # ``__main__`` run as a script, a hand-made module
+            return None, False
+        locations, origin = getattr(top, "__path__", None), spec.origin
+    else:
+        try:
+            spec = importlib.machinery.PathFinder.find_spec(head)
+        except (ImportError, ValueError):
+            spec = None
+        if spec is None:
+            return None, False
+        locations, origin = spec.submodule_search_locations, spec.origin
+    for part in rest:
+        if locations is None:  # the parent is a plain module
+            return None, False
+        for directory in locations:
+            # String paths: a few hundred lookups per launch, where pathlib
+            # objects cost more than the stat calls.
+            package = os.path.join(directory, part)
+            if os.path.isfile(init := os.path.join(package, "__init__.py")):
+                locations, origin = [package], init
+                break
+            if os.path.isfile(module := f"{package}.py"):
+                locations, origin = None, module
+                break
+        else:
+            return None, False
+    if origin is None or not origin.endswith(".py"):
+        return None, locations is not None
+    return Path(origin), locations is not None
+
+
 @functools.lru_cache(maxsize=None)
 def _module_path(module_name: str) -> Path | None:
     """Source file of ``module_name``, or ``None`` if it has no .py origin."""
-    try:
-        spec = importlib.util.find_spec(module_name)
-    except (ImportError, ValueError):
-        return None
-    if spec is None or spec.origin is None or not spec.origin.endswith(".py"):
-        return None
-    return Path(spec.origin)
+    return _locate(module_name)[0]
 
 
 @functools.lru_cache(maxsize=None)
 def _is_package(module_name: str) -> bool:
-    try:
-        spec = importlib.util.find_spec(module_name)
-    except (ImportError, ValueError):
-        return False
-    return spec is not None and spec.submodule_search_locations is not None
+    return _locate(module_name)[1]
 
 
 def _in_root(candidate: str | None, root: str) -> bool:
@@ -128,15 +188,29 @@ def _import_candidates(module_name: str, nodes, root: str) -> set[str]:
     return found
 
 
-def _imported_modules(module_name: str, source: bytes, source_hash: str, root: str) -> list[str]:
-    """Root-package modules imported directly by ``source``.
+def _declarations(tree: ast.Module) -> dict[str, str]:
+    """Source text of each top-level assignment to one of :data:`DECLARED_NAMES`.
 
-    The candidates come from the memo when its entry's content key matches
-    (no parse); the existence filter is applied on every read, so a module
-    file that appears or vanishes is seen without invalidating the entry.
-    Module specs are memoised per process -- module files are assumed not to
-    *move* while a process runs.
+    Only the module body's own statements count (the last assignment wins,
+    as it would on import); the text is evaluated by
+    :func:`static_declarations`, which is what rejects a non-literal.
     """
+    found: dict[str, str] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id in DECLARED_NAMES:
+                found[target.id] = ast.unparse(node.value)
+    return found
+
+
+def _entry(module_name: str, source: bytes, source_hash: str, root: str) -> _Entry:
+    """The memo entry of ``source``, parsed only when no entry matches its content key."""
     name = f"{root}:{module_name}"
     # The package flag is keyed too: it decides how relative imports resolve.
     key = hashlib.sha256(
@@ -144,11 +218,48 @@ def _imported_modules(module_name: str, source: bytes, source_hash: str, root: s
     ).hexdigest()
     entry = _memo.get(name)
     if entry is None or entry[0] != key:
-        candidates = _import_candidates(module_name, _walk_importable(_parse_source(source)), root)
-        entry = (key, tuple(sorted(candidates)))
+        tree = _parse_source(source)
+        candidates = _import_candidates(module_name, _walk_importable(tree), root)
+        entry = (key, tuple(sorted(candidates)), _declarations(tree))
         with _MEMO_LOCK:
             _memo[name] = _added[name] = entry
-    return [candidate for candidate in entry[1] if _module_path(candidate) is not None]
+    return entry
+
+
+def _imported_modules(module_name: str, source: bytes, source_hash: str, root: str) -> list[str]:
+    """Root-package modules imported directly by ``source``.
+
+    The candidates come from the memo when its entry's content key matches
+    (no parse); the existence filter is applied on every read, so a module
+    file that appears or vanishes is seen without invalidating the entry.
+    Module locations are memoised per process -- module files are assumed
+    not to *move* while a process runs.
+    """
+    _key, candidates, _declared = _entry(module_name, source, source_hash, root)
+    return [candidate for candidate in candidates if _module_path(candidate) is not None]
+
+
+def static_declarations(module_name: str, *, root: str = "repro") -> dict[str, object]:
+    """The values ``module_name`` assigns to :data:`DECLARED_NAMES`, without importing it.
+
+    Read from the source the fingerprint hashes and memoised with its import
+    candidates, so a warm process evaluates a few literals and parses no
+    module.  Names the module does not assign are absent; a value that is
+    not a plain literal raises :class:`TypeError`.
+    """
+    path = _module_path(module_name)
+    if path is None:
+        raise ModuleNotFoundError(f"no source file for module {module_name!r}", name=module_name)
+    source = path.read_bytes()
+    _key, _candidates, declared = _entry(module_name, source, hashlib.sha256(source).hexdigest(), root)
+    values: dict[str, object] = {}
+    for name, text in declared.items():
+        try:
+            with _PARSE_LOCK:
+                values[name] = ast.literal_eval(text)
+        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as error:
+            raise TypeError(f"{module_name}: {name} must be a plain literal, not {text!r}") from error
+    return values
 
 
 def _is_main_guard(node: ast.AST) -> bool:
@@ -258,7 +369,7 @@ def code_fingerprint(module_name: str, *, root: str = "repro") -> str:
 # -- the persisted memo ---------------------------------------------------------------
 
 
-def _read_memo(path: Path) -> dict[str, tuple[str, tuple[str, ...]]]:
+def _read_memo(path: Path) -> dict[str, _Entry]:
     """The well-formed entries of the sidecar at ``path`` (none if unreadable).
 
     Whatever is wrong with the file -- missing, truncated, garbage, another
@@ -278,13 +389,19 @@ def _read_memo(path: Path) -> dict[str, tuple[str, tuple[str, ...]]]:
         if not isinstance(entry, dict):
             continue
         key, imports = entry.get("key"), entry.get("imports")
+        declared = entry.get("declarations", {})
         root = name.partition(":")[0]
         if (
             isinstance(key, str)
             and isinstance(imports, list)
             and all(isinstance(candidate, str) and _in_root(candidate, root) for candidate in imports)
+            and isinstance(declared, dict)
+            and all(
+                declaration in DECLARED_NAMES and isinstance(text, str)
+                for declaration, text in declared.items()
+            )
         ):
-            entries[name] = (key, tuple(imports))
+            entries[name] = (key, tuple(imports), declared)
     return entries
 
 
@@ -317,7 +434,8 @@ def save_import_memo(cache_root: Path | str) -> None:
             "version": _MEMO_VERSION,
             "entries": {
                 name: {"key": key, "imports": list(imports)}
-                for name, (key, imports) in sorted(entries.items())
+                | ({"declarations": declared} if declared else {})
+                for name, (key, imports, declared) in sorted(entries.items())
             },
         }
         temporary = path.with_name(f".{IMPORTS_FILENAME}.{os.getpid()}.{threading.get_ident()}.tmp")

@@ -1,11 +1,19 @@
 """Typed experiment registry with deterministic config canonicalization.
 
-Wraps :data:`repro.experiments.EXPERIMENTS` with one :class:`ExperimentSpec`
-per driver.  Every driver module declares its cacheable parameters in a
-``PARAMS`` mapping (name -> default) and, optionally, the object-valued
-injection parameters its ``run()`` also accepts in ``OBJECT_PARAMS``
-(pre-built characterizations, chip models, ...).  Only ``PARAMS`` values
-participate in cache keys; passing an object parameter bypasses the cache.
+One :class:`ExperimentSpec` per entry of :data:`DRIVERS`.  Every driver
+module declares its cacheable parameters in a ``PARAMS`` mapping (name ->
+default) and, optionally, the object-valued injection parameters its
+``run()`` also accepts in ``OBJECT_PARAMS`` (pre-built characterizations,
+chip models, ...).  Only ``PARAMS`` values participate in cache keys;
+passing an object parameter bypasses the cache.
+
+The declarations are plain literals, so the registry reads them from the
+driver's source (:func:`~repro.runner.fingerprint.static_declarations`,
+memoised with the fingerprint's import candidates) and a spec imports its
+driver only when it first runs or renders it -- a warm hit never loads
+numpy or a model.  That first import checks the declarations against the
+module: defaults must agree with ``run()``'s signature and every artifact
+producer must import.
 
 Drivers additionally declare the sub-experiment intermediates they consume
 in an ``ARTIFACTS`` mapping (see :class:`ArtifactBinding`): artifact name ->
@@ -21,6 +29,8 @@ always hash to the same cache key.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import inspect
 import json
 import types
@@ -29,7 +39,13 @@ from typing import Mapping
 
 from .artifacts import load_producer
 from .errors import ParamTypeError, ParamValueError, UnknownParamError
-from ..experiments import EXPERIMENTS
+from .fingerprint import DECLARED_NAMES, static_declarations
+
+#: Every experiment, in registry order, and the driver module computing it.
+DRIVERS = {
+    name: f"repro.experiments.{name}"
+    for name in ("table1", "fig2", "fig3", "fig4", "table2", "fig6", "fig8", "table3")
+}
 
 
 @dataclass(frozen=True)
@@ -159,10 +175,13 @@ class ArtifactBinding:
 
 
 def _parse_artifacts(
-    experiment: str, module: types.ModuleType, params: Mapping[str, ParamSpec]
+    experiment: str, declared: Mapping[str, object], params: Mapping[str, ParamSpec]
 ) -> dict[str, ArtifactBinding]:
-    """Validate and normalise a driver's ``ARTIFACTS`` declaration."""
-    declared = getattr(module, "ARTIFACTS", {})
+    """Validate and normalise a driver's ``ARTIFACTS`` declaration.
+
+    Producers are only named here; they are imported (and fail loudly if
+    they cannot be) when the driver itself is first imported.
+    """
     bindings: dict[str, ArtifactBinding] = {}
     for name, declaration in declared.items():
         if not (isinstance(declaration, tuple) and len(declaration) in (2, 3)):
@@ -186,7 +205,6 @@ def _parse_artifacts(
             raise TypeError(
                 f"{experiment}: ARTIFACTS[{name!r}] 'when' must name a bool parameter"
             )
-        load_producer(producer)  # fails fast on unimportable producers
         bindings[name] = ArtifactBinding(
             name=name,
             producer=producer,
@@ -228,35 +246,60 @@ def _parse_artifacts(
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered experiment: driver module + declared parameter schema."""
+    """One registered experiment: driver module name + declared parameter schema."""
 
     name: str
-    module: types.ModuleType
+    module_name: str
     params: Mapping[str, ParamSpec]
     object_params: frozenset[str]
     artifacts: Mapping[str, ArtifactBinding]
 
     @classmethod
-    def from_module(cls, name: str, module: types.ModuleType) -> "ExperimentSpec":
-        declared = getattr(module, "PARAMS", {})
+    def from_declarations(
+        cls, name: str, module_name: str, declared: Mapping[str, object]
+    ) -> "ExperimentSpec":
+        """A spec from a driver's ``PARAMS``/``OBJECT_PARAMS``/``ARTIFACTS`` values."""
         params = {
             pname: ParamSpec(pname, tuple if isinstance(default, (list, tuple)) else type(default), default)
-            for pname, default in declared.items()
+            for pname, default in declared.get("PARAMS", {}).items()
         }
-        object_params = frozenset(getattr(module, "OBJECT_PARAMS", ()))
-        spec = cls(
+        return cls(
             name=name,
-            module=module,
+            module_name=module_name,
             params=params,
-            object_params=object_params,
-            artifacts=_parse_artifacts(name, module, params),
+            object_params=frozenset(declared.get("OBJECT_PARAMS", ())),
+            artifacts=_parse_artifacts(name, declared.get("ARTIFACTS", {}), params),
         )
-        spec._check_against_signature()
+
+    @classmethod
+    def from_source(cls, name: str, module_name: str) -> "ExperimentSpec":
+        """A spec read from the driver's source; the driver is not imported."""
+        root = module_name.partition(".")[0]
+        return cls.from_declarations(name, module_name, static_declarations(module_name, root=root))
+
+    @classmethod
+    def from_module(cls, name: str, module: types.ModuleType) -> "ExperimentSpec":
+        """A spec bound to an already imported module, checked against it now."""
+        declared = {attribute: getattr(module, attribute) for attribute in DECLARED_NAMES if hasattr(module, attribute)}
+        spec = cls.from_declarations(name, module.__name__, declared)
+        spec._check_module(module)
+        spec.__dict__["module"] = module  # what the cached property would have stored
         return spec
 
-    def _check_against_signature(self) -> None:
-        """Declared defaults must agree with ``run()``'s actual signature."""
-        signature = inspect.signature(self.module.run)
+    @functools.cached_property
+    def module(self) -> types.ModuleType:
+        """The driver module, imported (and checked) on first use."""
+        module = importlib.import_module(self.module_name)
+        self._check_module(module)
+        return module
+
+    def _check_module(self, module: types.ModuleType) -> None:
+        """The declarations must hold for the module they were read for.
+
+        Declared defaults must agree with ``run()``'s actual signature, and
+        every artifact producer must import.
+        """
+        signature = inspect.signature(module.run)
         accepts_kwargs = any(
             parameter.kind is inspect.Parameter.VAR_KEYWORD
             for parameter in signature.parameters.values()
@@ -275,6 +318,8 @@ class ExperimentSpec:
                     f"{self.name}: declared default for {pname!r} ({spec.default!r}) "
                     f"disagrees with run() ({parameter.default!r})"
                 )
+        for binding in self.artifacts.values():
+            load_producer(binding.producer)
 
     def canonical_config(self, overrides: Mapping[str, object] | None = None) -> dict[str, object]:
         """Full config in canonical form: defaults + coerced overrides, sorted keys.
@@ -345,5 +390,5 @@ class ExperimentSpec:
 
 
 def build_registry() -> dict[str, ExperimentSpec]:
-    """One :class:`ExperimentSpec` per entry of ``EXPERIMENTS``."""
-    return {name: ExperimentSpec.from_module(name, module) for name, module in EXPERIMENTS.items()}
+    """One :class:`ExperimentSpec` per entry of :data:`DRIVERS`; no driver is imported."""
+    return {name: ExperimentSpec.from_source(name, module_name) for name, module_name in DRIVERS.items()}

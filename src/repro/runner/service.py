@@ -153,8 +153,12 @@ class ExperimentRunner:
         artifacts: ArtifactStore | None = None,
         use_artifacts: bool | None = None,
     ):
-        self.registry = dict(registry) if registry is not None else build_registry()
         self.cache = cache if cache is not None else ResultCache()
+        if self.cache.root is not None:
+            # Fingerprints and the registry's driver declarations of
+            # unchanged modules replay from the sidecar instead of re-parsing.
+            load_import_memo(self.cache.root)
+        self.registry = dict(registry) if registry is not None else build_registry()
         self.use_cache = use_cache
         if artifacts is not None:
             self.artifacts = artifacts
@@ -165,10 +169,6 @@ class ExperimentRunner:
             # keep the artifact store ephemeral too.
             self.artifacts = ArtifactStore(backend=MemoryBackend())
         self.use_artifacts = use_cache if use_artifacts is None else use_artifacts
-        if self.cache.root is not None:
-            # Fingerprints of unchanged modules replay their import lists
-            # from the sidecar instead of re-parsing the closure.
-            load_import_memo(self.cache.root)
 
     def _save_import_memo(self) -> None:
         """Persist what planning parsed (a no-op when nothing was)."""
@@ -200,7 +200,7 @@ class ExperimentRunner:
         """
         spec = self.spec(name)
         config = spec.canonical_config(overrides)
-        fingerprint = code_fingerprint(spec.module.__name__)
+        fingerprint = code_fingerprint(spec.module_name)
         return config, cache_key(name, spec.canonical_json(config), fingerprint), fingerprint
 
     def lookup(self, name: str, overrides: Mapping[str, object] | None = None) -> RunReport | None:
@@ -455,7 +455,7 @@ class ExperimentRunner:
             spec = self.spec(name)
             config = spec.canonical_config(overrides)
             if name not in fingerprints:
-                fingerprints[name] = code_fingerprint(spec.module.__name__)
+                fingerprints[name] = code_fingerprint(spec.module_name)
             key = cache_key(name, spec.canonical_json(config), fingerprints[name])
             lookup_start = time.perf_counter()
             entry = self.cache.get(name, key) if self.use_cache else None

@@ -13,13 +13,18 @@ memo's contract:
   same-size edit with a restored ``mtime_ns`` re-parses, and so does an
   entry written by another version of ``fingerprint.py``;
 * a broken sidecar costs parses, never an exception or a changed row;
-* a warm process parses nothing and leaves the sidecar untouched.
+* a warm process parses nothing and leaves the sidecar untouched;
+* modules are located without importing anything -- closures and
+  fingerprints equal those of ``importlib.util.find_spec`` resolution (the
+  oracle), and fingerprinting every driver loads neither numpy nor a model.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -34,11 +39,11 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.runner import fingerprint as fp
 from repro.runner.cache import ResultCache
-from repro.runner.registry import build_registry
+from repro.runner.registry import DRIVERS as REGISTERED
 from repro.runner.service import ExperimentRunner
 
 SRC = Path(repro.__file__).resolve().parent.parent
-DRIVERS = [spec.module.__name__ for spec in build_registry().values()]
+DRIVERS = list(REGISTERED.values())
 
 
 def _oracle_walk(tree: ast.AST):
@@ -111,17 +116,24 @@ def _warm_memo(cache_root: Path) -> None:
     fp.load_import_memo(cache_root)
 
 
+def _package_modules() -> list[str]:
+    """Every module of the ``repro`` package, by dotted name."""
+    names = []
+    for path in sorted(SRC.joinpath("repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        names.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    return names
+
+
 # -- the walk: statement lists only, same imports as the full walk ---------------------
 
 
 class TestWalkEquivalence:
     def test_every_package_module(self):
-        modules = sorted(SRC.joinpath("repro").rglob("*.py"))
+        modules = _package_modules()
         assert len(modules) > 50
-        for path in modules:
-            parts = path.relative_to(SRC).with_suffix("").parts
-            module_name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-            _assert_walks_agree(module_name, path.read_text())
+        for module_name in modules:
+            _assert_walks_agree(module_name, fp._module_path(module_name).read_text())
 
     def test_guards_keep_their_else_branches(self):
         source = textwrap.dedent(
@@ -226,6 +238,72 @@ class TestGeneratedSources:
     @given(source=_SOURCES, package=st.sampled_from(["repro.runner.fake", "repro.runner"]))
     def test_statement_walk_matches_full_walk(self, source, package):
         _assert_walks_agree(package, source)
+
+
+# -- locating modules: no imports, same answers as find_spec ----------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _find_spec_path(module_name: str) -> Path | None:
+    """The oracle: ``find_spec`` resolution, which imports parent packages."""
+    try:
+        spec = importlib.util.find_spec(module_name)
+    except (ImportError, ValueError):
+        return None
+    if spec is None or spec.origin is None or not spec.origin.endswith(".py"):
+        return None
+    return Path(spec.origin)
+
+
+@functools.lru_cache(maxsize=None)
+def _find_spec_is_package(module_name: str) -> bool:
+    try:
+        spec = importlib.util.find_spec(module_name)
+    except (ImportError, ValueError):
+        return False
+    return spec is not None and spec.submodule_search_locations is not None
+
+
+class TestLocation:
+    def test_closures_and_fingerprints_equal_find_spec_resolution(self, monkeypatch, fresh_memo):
+        modules = _package_modules()
+        located = {name: (fp.module_closure(name), fp.code_fingerprint(name)) for name in modules}
+        candidates = {candidate for entry in fp._memo.values() for candidate in entry[1]}
+        for candidate in sorted(candidates | set(modules)):
+            assert fp._module_path(candidate) == _find_spec_path(candidate), candidate
+            assert fp._is_package(candidate) == _find_spec_is_package(candidate), candidate
+        monkeypatch.setattr(fp, "_module_path", _find_spec_path)
+        monkeypatch.setattr(fp, "_is_package", _find_spec_is_package)
+        oracle = {name: (fp.module_closure(name), fp.code_fingerprint(name)) for name in modules}
+        assert located == oracle
+
+    def test_outside_the_root_and_missing_modules(self, tmp_path, monkeypatch, fresh_memo):
+        _package(tmp_path, monkeypatch, "loc_pkg", {"leaf.py": "V = 1\n"})
+        (tmp_path / "loc_top.py").write_text("import loc_pkg.leaf\n")
+        names = ("loc_top", "loc_pkg", "loc_pkg.leaf", "loc_pkg.leaf.V", "loc_pkg.absent", "absent_top", "os", "sys")
+        located = {name: (fp._module_path(name), fp._is_package(name)) for name in names}
+        assert "loc_pkg" not in sys.modules  # located, never imported
+        assert located == {name: (_find_spec_path(name), _find_spec_is_package(name)) for name in names}
+
+    def test_fingerprinting_every_driver_imports_no_science(self):
+        script = textwrap.dedent(
+            f"""
+            import json, sys
+            from repro.runner.fingerprint import code_fingerprint, static_declarations
+            before = set(sys.modules)
+            for name in {DRIVERS!r}:
+                code_fingerprint(name)
+                static_declarations(name)
+            print(json.dumps(sorted(set(sys.modules) - before)))
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        gained = json.loads(done.stdout)
+        science = ("numpy", "repro.experiments", "repro.nn", "repro.arithmetic", "repro.circuit",
+                   "repro.core", "repro.simd", "repro.envision", "repro.analysis.metrics")
+        assert not [name for name in gained if name.startswith(science)]
 
 
 # -- the memo: content keys, the sidecar, warm processes -------------------------------

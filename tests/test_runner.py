@@ -459,8 +459,10 @@ class TestDriverModuleShims:
             assert f'"{name}"' in guard, name
 
     def test_declared_params_match_run_signature(self):
-        # build_registry() raises if a PARAMS default disagrees with run().
-        build_registry()
+        # A spec checks its declarations against the driver when it first
+        # imports it: a PARAMS default disagreeing with run() raises here.
+        for spec in build_registry().values():
+            assert spec.module.__name__ == spec.module_name
 
     def test_report_equals_render_of_run(self):
         from repro.experiments import table3

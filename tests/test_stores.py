@@ -20,10 +20,12 @@ import json
 import multiprocessing
 import os
 import platform
+import subprocess
 import sys
 import threading
 import time
 import uuid
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from repro.runner.cache import CacheEntry, ResultCache, cache_key, run_provenanc
 from repro.runner.cli import main
 from repro.runner.registry import ExperimentSpec
 from repro.runner.service import ExperimentRunner
+from repro.runner import store as store_module
 from repro.runner.store import StoreStats, load_stats, numeric_stack, record_stats, reset_stats
 
 
@@ -396,7 +399,8 @@ def _run_under(monkeypatch, *, python=None, numpy_version=None):
     if python is not None:
         monkeypatch.setattr(platform, "python_version", lambda: python)
     if numpy_version is not None:
-        monkeypatch.setattr(np, "__version__", numpy_version)
+        # The store reads numpy's version from its installed version.py.
+        monkeypatch.setattr(store_module, "numpy_version", lambda: numpy_version)
 
 
 def _bumped_minor(version):
@@ -408,6 +412,19 @@ class TestNumericStack:
     def test_entries_record_the_stack(self):
         assert numeric_stack() == {"python": platform.python_version(), "numpy": np.__version__}
         assert run_provenance().items() >= numeric_stack().items()
+
+    def test_numpy_version_is_read_without_importing_numpy(self):
+        script = (
+            "import sys\n"
+            "from repro.runner.store import numpy_version\n"
+            "version = numpy_version()\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "print(version)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(store_module.__file__).resolve().parents[2])}
+        read = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert read.returncode == 0, read.stderr
+        assert read.stdout.strip() == np.__version__
 
     @pytest.mark.parametrize("changed", ["python", "numpy"])
     def test_other_major_minor_is_a_miss_not_corruption(self, kind, open_store, monkeypatch, changed):
